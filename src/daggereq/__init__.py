@@ -68,11 +68,7 @@ from .scalars import (
     GaussianIntegerRing,
     Monomial,
     ScalarRing,
-    coefficient_of,
     make_ring,
-    poly_add,
-    poly_conj,
-    poly_mul,
 )
 from .semantics import (
     Interpretation,

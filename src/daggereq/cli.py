@@ -115,33 +115,44 @@ def _iso_text(iso: dg.DiagramIso) -> dict:
     }
 
 
-def _semantic_count(a: dg.Diagram, b: dg.Diagram) -> tuple[int, bool]:
-    """Isomorphism count through the polynomial route, and the trivial
-    cycle agreement the structural count also depends on."""
-    trivial_equal = a.trivial_cycles == b.trivial_cycles
-    count = sm.iso_count_semantic(a.without_trivial_cycles(),
-                                  b.without_trivial_cycles())
-    return count, trivial_equal
-
-
-def cmd_check(args) -> int:
+def _decide(args, command: str) -> tuple[_Report, Signature, dg.EqualityResult]:
+    """Load both terms and decide their equality structurally."""
     sig, (t1, t2) = _load_terms(args, [args.term_a, args.term_b])
     report = _Report(args.format == "json")
-    report.record["command"] = "check"
-    result = dg.decide_equal(t1, t2, sig)
-    sem_count, trivial_equal = _semantic_count(result.diagram_a, result.diagram_b)
+    report.record["command"] = command
+    return report, sig, dg.decide_equal(t1, t2, sig)
+
+
+def _cross_check(report: _Report, result: dg.EqualityResult, name: str) -> bool:
+    """Report the structural and semantic isomorphism counts.
+
+    The semantic route ignores trivial cycles, so it must agree with
+    the structural count only when the trivial cycles agree; otherwise
+    the structural count must be 0.  On disagreement the report is
+    emitted with a note and False is returned.
+    """
+    a, b = result.diagram_a, result.diagram_b
+    trivial_equal = a.trivial_cycles == b.trivial_cycles
+    sem_count = sm.iso_count_semantic(a.without_trivial_cycles(),
+                                      b.without_trivial_cycles())
     structural = result.isomorphism_count
-    expected = sem_count if trivial_equal else 0
-    report.field("verdict", "equal" if result.equal else "not-equal",
-                 "verdict: " + ("equal" if result.equal else "not equal"))
-    report.field("structural_isomorphisms", structural)
+    report.field("structural_isomorphisms", structural, f"{name}: {structural}")
     report.field("semantic_isomorphisms", sem_count,
                  f"semantic isomorphism count: {sem_count}")
     report.field("trivial_cycles_equal", trivial_equal,
                  f"trivial cycles equal: {'yes' if trivial_equal else 'no'}")
-    if structural != expected:
+    if structural != (sem_count if trivial_equal else 0):
         report.note("cross-check failed: the two isomorphism counts disagree")
         report.emit()
+        return False
+    return True
+
+
+def cmd_check(args) -> int:
+    report, sig, result = _decide(args, "check")
+    report.field("verdict", "equal" if result.equal else "not-equal",
+                 "verdict: " + ("equal" if result.equal else "not equal"))
+    if not _cross_check(report, result, "structural_isomorphisms"):
         return 2
 
     if result.equal:
@@ -194,43 +205,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_iso_count(args) -> int:
-    sig, (t1, t2) = _load_terms(args, [args.term_a, args.term_b])
-    report = _Report(args.format == "json")
-    report.record["command"] = "iso-count"
-    result = dg.decide_equal(t1, t2, sig)
-    sem_count, trivial_equal = _semantic_count(result.diagram_a, result.diagram_b)
-    structural = result.isomorphism_count
-    expected = sem_count if trivial_equal else 0
-    report.field("structural_isomorphisms", structural,
-                 f"isomorphisms: {structural}")
-    report.field("semantic_isomorphisms", sem_count,
-                 f"semantic isomorphism count: {sem_count}")
-    report.field("trivial_cycles_equal", trivial_equal,
-                 f"trivial cycles equal: {'yes' if trivial_equal else 'no'}")
-    if structural != expected:
-        report.note("cross-check failed: the two isomorphism counts disagree")
-        report.emit()
+    report, _, result = _decide(args, "iso-count")
+    if not _cross_check(report, result, "isomorphisms"):
         return 2
     report.emit()
-    return 0 if structural > 0 else 1
+    return 0 if result.isomorphism_count > 0 else 1
 
 
 def cmd_poly(args) -> int:
-    sig, (t1, t2) = _load_terms(args, [args.term_a, args.term_b])
-    report = _Report(args.format == "json")
-    report.record["command"] = "poly"
-    result = dg.decide_equal(t1, t2, sig)
+    report, _, result = _decide(args, "poly")
     a = result.diagram_a.without_trivial_cycles()
     b = result.diagram_b.without_trivial_cycles()
     if not (result.diagram_a.is_simple and result.diagram_b.is_simple):
         report.note("trivial cycles are ignored by the polynomial evaluation")
-    interp = sm.m_interpretation(b)
-    if (any(x not in interp.space for x in a.wire_labels)
-            or any(f not in interp.matrix for f in a.box_labels)):
-        value = sm.ConjPolynomial.zero()
-    else:
-        value = sm.denote(a, interp)
-    target = sm.all_boxes_monomial(b)
+    value, target = sm.iso_polynomial(a, b)
     report.field("reference_boxes",
                  {f"b{i}": f.display_name for i, f in enumerate(b.box_labels)},
                  "reference boxes: " + " ".join(

@@ -11,6 +11,10 @@ symmetries, duality units and counits contribute no boxes, only
 wiring.  Compact closed structure is removed first: every morphism
 variable is replaced by its star-free translation and the original
 port positions are routed through the translation table.
+
+Isomorphism is decided by canonical codes of connected components.
+Ports are ordered, so fixing the image of one box fixes the image of
+every box in its component; no search is needed.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .errors import DiagramError, ParseError, TypeCheckError
 from . import terms as tm
@@ -354,126 +359,136 @@ class DiagramIso:
         return True
 
 
-def _refine(d: Diagram, colors: list) -> list[tuple]:
-    return [
-        (
-            colors[b],
-            tuple(colors[d.producer[w][0]] for w in d.box_inputs[b]),
-            tuple(colors[d.consumer[w][0]] for w in d.box_outputs[b]),
-        )
-        for b in range(d.n_boxes)
-    ]
+# The boxes of one connected component in the order a walk visits them.
+Walk = tuple[int, ...]
+# Per code class shared by two diagrams, its components in each; a
+# component is given by its walks from its canonical roots.
+Matching = list[tuple[list[tuple[Walk, ...]], list[tuple[Walk, ...]]]]
 
 
-def _joint_colors(n: Diagram, m: Diagram) -> tuple[list, list]:
-    """Neighbourhood refinement of box labels, shared across both diagrams.
+def _walk(d: Diagram, keys: list[str], root: int,
+          bound: tuple | None = None) -> tuple[tuple, Walk] | None:
+    """The code of ``root``'s component, walked breadth-first from ``root``.
 
-    Boxes that could correspond under some isomorphism always end up
-    with the same color; the converse may fail, so colors only prune.
+    Each box adds its label key and, for its output ports in order and
+    then its input ports, the (visit position, port) at the other end
+    of the wire.  Ports are ordered, so two walks give the same code
+    exactly when an isomorphism maps the one onto the other position by
+    position.  Returns None as soon as the code exceeds ``bound``.
     """
-    colors_n: list = [f.display_name for f in n.box_labels]
-    colors_m: list = [f.display_name for f in m.box_labels]
-    for _ in range(max(n.n_boxes, m.n_boxes)):
-        refined_n, refined_m = _refine(n, colors_n), _refine(m, colors_m)
-        canon = {
-            c: i for i, c in enumerate(sorted(set(refined_n) | set(refined_m), key=repr))
-        }
-        new_n = [canon[c] for c in refined_n]
-        new_m = [canon[c] for c in refined_m]
-        if new_n == colors_n and new_m == colors_m:
-            break
-        colors_n, colors_m = new_n, new_m
-    return colors_n, colors_m
-
-
-def find_isos(n: Diagram, m: Diagram, limit: int | None = None) -> list[DiagramIso]:
-    """All isomorphisms from ``n`` to ``m`` in a canonical order.
-
-    Boxes are matched by backtracking; wire images are forced through
-    input ports, so the wire bijection is never searched.  ``limit``
-    caps the number of isomorphisms returned.
-    """
-    if n.n_wires != m.n_wires or n.n_boxes != m.n_boxes:
-        return []
-    if n.trivial_cycles != m.trivial_cycles:
-        return []
-    if sorted(a.name for a in n.wire_labels) != sorted(a.name for a in m.wire_labels):
-        return []
-    if (sorted(f.display_name for f in n.box_labels)
-            != sorted(f.display_name for f in m.box_labels)):
-        return []
-    if n.n_boxes == 0:
-        return [DiagramIso((), ())]
-
-    colors_n, colors_m = _joint_colors(n, m)
-    candidates: list[list[int]] = []
-    by_color: dict[int, list[int]] = {}
-    for c, color in enumerate(colors_m):
-        by_color.setdefault(color, []).append(c)
-    for b in range(n.n_boxes):
-        cands = by_color.get(colors_n[b], [])
-        if not cands:
-            return []
-        candidates.append(cands)
-
-    order = sorted(range(n.n_boxes), key=lambda b: len(candidates[b]))
-    isos: list[DiagramIso] = []
-    box_map: dict[int, int] = {}
-    wire_map: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(b: int, c: int) -> list[int] | None:
-        """Map box b to c; returns newly fixed wires, or None on clash."""
-        added: list[int] = []
-        for w, w2 in itertools.chain(
-            zip(n.box_inputs[b], m.box_inputs[c]),
-            zip(n.box_outputs[b], m.box_outputs[c]),
-        ):
-            seen = wire_map.get(w)
-            if seen is None:
-                wire_map[w] = w2
-                added.append(w)
-            elif seen != w2:
-                for a in added:
-                    del wire_map[a]
+    consumer, producer = d.consumer, d.producer
+    position = {root: 0}
+    order = [root]
+    code: list[tuple] = []
+    for b in order:  # grows as the walk reaches new boxes
+        ends = ([consumer[w] for w in d.box_outputs[b]]
+                + [producer[w] for w in d.box_inputs[b]])
+        ports: list[int] = []
+        for c, k in ends:
+            if c not in position:
+                position[c] = len(order)
+                order.append(c)
+            ports += (position[c], k)
+        token = (keys[b], tuple(ports))
+        if bound is not None:
+            if token > bound[len(code)]:
                 return None
-        return added
+            if token < bound[len(code)]:
+                bound = None
+        code.append(token)
+    return tuple(code), tuple(order)
 
-    def search(depth: int) -> bool:
-        if depth == len(order):
-            assert len(wire_map) == n.n_wires
-            assert sorted(wire_map.values()) == list(range(m.n_wires))
-            isos.append(DiagramIso(
-                tuple(wire_map[w] for w in range(n.n_wires)),
-                tuple(box_map[b] for b in range(n.n_boxes)),
-            ))
-            return limit is not None and len(isos) >= limit
-        b = order[depth]
-        for c in candidates[b]:
-            if c in used:
+
+def _code_classes(d: Diagram) -> dict[tuple, list[tuple[Walk, ...]]]:
+    """The connected components of ``d``, grouped by canonical code.
+
+    A component's canonical code is its least code from a root with its
+    rarest label (ties broken by name).  The walks from the roots that
+    reach it, one per automorphism, stand for the component.
+    """
+    keys = [str(f) for f in d.box_labels]
+    classes: dict[tuple, list[tuple[Walk, ...]]] = {}
+    seen: set[int] = set()
+    for b in range(d.n_boxes):
+        if b in seen:
+            continue
+        _, boxes = _walk(d, keys, b)
+        seen.update(boxes)
+        counts = Counter(keys[c] for c in boxes)
+        rarest = min(counts, key=lambda key: (counts[key], key))
+        best, walks = None, []
+        for root in [c for c in boxes if keys[c] == rarest]:
+            found = _walk(d, keys, root, best)
+            if found is None:
                 continue
-            added = extend(b, c)
-            if added is None:
-                continue
+            code, walk = found
+            if code != best:
+                best, walks = code, []
+            walks.append(walk)
+        classes.setdefault(best, []).append(tuple(walks))
+    return classes
+
+
+def _match(n: Diagram, m: Diagram) -> Matching | None:
+    """Pair the code classes of ``n`` and ``m``; None if not isomorphic."""
+    if n.trivial_cycles != m.trivial_cycles:
+        return None
+    classes_n, classes_m = _code_classes(n), _code_classes(m)
+    if ({code: len(comps) for code, comps in classes_n.items()}
+            != {code: len(comps) for code, comps in classes_m.items()}):
+        return None
+    return [(comps, classes_m[code]) for code, comps in classes_n.items()]
+
+
+def _count(matching: Matching) -> int:
+    """k! * a**k over each class of k components with a automorphisms."""
+    count = 1
+    for _, comps in matching:
+        for k, walks in enumerate(comps, start=1):
+            count *= k * len(walks)
+    return count
+
+
+def _iso(n: Diagram, m: Diagram, pairs: Iterable[tuple[Walk, Walk]]) -> DiagramIso:
+    """Map each walk in ``n`` onto its partner in ``m``, position by position."""
+    box_map = [0] * n.n_boxes
+    wire_map = [0] * n.n_wires
+    for walk_n, walk_m in pairs:
+        for b, c in zip(walk_n, walk_m):
             box_map[b] = c
-            used.add(c)
-            stop = search(depth + 1)
-            used.discard(c)
-            del box_map[b]
-            for w in added:
-                del wire_map[w]
-            if stop:
-                return True
-        return False
+            for w, v in zip(n.box_outputs[b], m.box_outputs[c]):
+                wire_map[w] = v
+    return DiagramIso(tuple(wire_map), tuple(box_map))
 
-    search(0)
+
+def find_isos(n: Diagram, m: Diagram) -> list[DiagramIso]:
+    """All isomorphisms from ``n`` to ``m``, sorted by box map, then wire map.
+
+    Each one pairs up the components of every code class in some order
+    and maps each component of ``n`` onto its partner's walk from one
+    of the partner's canonical roots.
+    """
+    matching = _match(n, m)
+    if matching is None:
+        return []
+    per_class = []
+    for comps_n, comps_m in matching:
+        refs = [walks[0] for walks in comps_n]
+        per_class.append([
+            list(zip(refs, targets))
+            for partners in itertools.permutations(comps_m)
+            for targets in itertools.product(*partners)
+        ])
+    isos = [_iso(n, m, itertools.chain.from_iterable(choice))
+            for choice in itertools.product(*per_class)]
     isos.sort(key=lambda iso: (iso.box_map, iso.wire_map))
     return isos
 
 
 def iso_count(n: Diagram, m: Diagram) -> int:
-    """Number of isomorphisms from ``n`` to ``m``."""
-    return len(find_isos(n, m))
+    """Number of isomorphisms from ``n`` to ``m``, computed without listing any."""
+    matching = _match(n, m)
+    return 0 if matching is None else _count(matching)
 
 
 # -- deciding equality -------------------------------------------------
@@ -482,23 +497,19 @@ def iso_count(n: Diagram, m: Diagram) -> int:
 class EqualityResult:
     """Outcome of :func:`decide_equal`.
 
-    ``signature`` is the star-free translated signature the two
+    ``isomorphism`` is one isomorphism from ``diagram_a`` to
+    ``diagram_b``, or None when there is none; where there are several
+    it is a valid one, not necessarily the first in :func:`find_isos`
+    order.  ``signature`` is the star-free translated signature the two
     diagrams are labeled over, including any closure variables.
     """
 
     equal: bool
     diagram_a: Diagram
     diagram_b: Diagram
-    isomorphisms: tuple[DiagramIso, ...]
+    isomorphism_count: int
+    isomorphism: DiagramIso | None
     signature: Signature
-
-    @property
-    def isomorphism(self) -> DiagramIso | None:
-        return self.isomorphisms[0] if self.isomorphisms else None
-
-    @property
-    def isomorphism_count(self) -> int:
-        return len(self.isomorphisms)
 
 
 def decide_equal(t1: tm.Term, t2: tm.Term, sig: Signature) -> EqualityResult:
@@ -507,13 +518,19 @@ def decide_equal(t1: tm.Term, t2: tm.Term, sig: Signature) -> EqualityResult:
     Both terms are closed with one shared pair of fresh variables,
     compiled, and compared up to diagram isomorphism.  Equality of the
     closed diagrams is equivalent to equality of the original terms.
+    No isomorphisms are listed: the count comes from the code classes.
     """
     t1c, t2c, sig_c = tm.close_pair(t1, t2, sig)
     d1 = compile_term(t1c, sig_c)
     d2 = compile_term(t2c, sig_c)
     sig_t, _ = int_translate(sig_c)
-    isos = find_isos(d1, d2)
-    return EqualityResult(bool(isos), d1, d2, tuple(isos), sig_t)
+    matching = _match(d1, d2)
+    if matching is None:
+        return EqualityResult(False, d1, d2, 0, None, sig_t)
+    iso = _iso(d1, d2, ((walks_n[0], walks_m[0])
+                        for comps_n, comps_m in matching
+                        for walks_n, walks_m in zip(comps_n, comps_m)))
+    return EqualityResult(True, d1, d2, _count(matching), iso, sig_t)
 
 
 # -- text formats ------------------------------------------------------

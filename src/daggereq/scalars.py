@@ -195,22 +195,6 @@ class ConjPolynomial:
         return f"ConjPolynomial({self})"
 
 
-def poly_add(p: ConjPolynomial, q: ConjPolynomial) -> ConjPolynomial:
-    return p + q
-
-
-def poly_mul(p: ConjPolynomial, q: ConjPolynomial) -> ConjPolynomial:
-    return p * q
-
-
-def poly_conj(p: ConjPolynomial) -> ConjPolynomial:
-    return p.conjugate()
-
-
-def coefficient_of(p: ConjPolynomial, m: Monomial) -> int:
-    return p.coefficient(m)
-
-
 # -- rings -------------------------------------------------------------
 
 class ScalarRing:
@@ -236,9 +220,6 @@ class ScalarRing:
 
     def mul(self, a, b):
         raise NotImplementedError
-
-    def neg(self, a):
-        return self.add(self.zero, self.mul(self.from_int(-1), a))
 
     def conj(self, a):
         raise NotImplementedError
@@ -286,9 +267,6 @@ class GaussianIntegerRing(ScalarRing):
     def mul(self, a: GaussianInt, b: GaussianInt) -> GaussianInt:
         return a * b
 
-    def neg(self, a: GaussianInt) -> GaussianInt:
-        return -a
-
     def conj(self, a: GaussianInt) -> GaussianInt:
         return a.conjugate()
 
@@ -332,9 +310,6 @@ class ComplexFloatRing(ScalarRing):
     def mul(self, a: complex, b: complex) -> complex:
         return a * b
 
-    def neg(self, a: complex) -> complex:
-        return -a
-
     def conj(self, a: complex) -> complex:
         return a.conjugate()
 
@@ -374,9 +349,6 @@ class ConjPolynomialRing(ScalarRing):
 
     def mul(self, a: ConjPolynomial, b: ConjPolynomial) -> ConjPolynomial:
         return a * b
-
-    def neg(self, a: ConjPolynomial) -> ConjPolynomial:
-        return -a
 
     def conj(self, a: ConjPolynomial) -> ConjPolynomial:
         return a.conjugate()

@@ -325,6 +325,22 @@ def all_boxes_monomial(m: Diagram) -> Monomial:
     return Monomial.of(*(((b, False)) for b in range(m.n_boxes)))
 
 
+def iso_polynomial(n: Diagram, m: Diagram) -> tuple[ConjPolynomial, Monomial]:
+    """The value of ``n`` under the polynomial interpretation of ``m``,
+    and the monomial whose coefficient in it counts isomorphisms.
+
+    The value is zero when ``n`` uses an object or a box label that
+    ``m`` lacks: no box of ``m`` can be its image.
+    """
+    interp = m_interpretation(m)
+    if (any(a not in interp.space for a in n.wire_labels)
+            or any(f not in interp.matrix for f in n.box_labels)):
+        value = ConjPolynomial.zero()
+    else:
+        value = denote(n, interp)
+    return value, all_boxes_monomial(m)
+
+
 def iso_count_semantic(n: Diagram, m: Diagram) -> int:
     """Count isomorphisms from ``n`` to ``m`` without searching for any.
 
@@ -334,13 +350,8 @@ def iso_count_semantic(n: Diagram, m: Diagram) -> int:
     """
     if not (n.is_simple and m.is_simple):
         raise InterpretationError("isomorphism counting needs simple diagrams")
-    interp = m_interpretation(m)
-    if any(a not in interp.space for a in n.wire_labels):
-        return 0
-    if any(f not in interp.matrix for f in n.box_labels):
-        return 0
-    value = denote(n, interp)
-    return value.coefficient(all_boxes_monomial(m))
+    value, target = iso_polynomial(n, m)
+    return value.coefficient(target)
 
 
 # -- random interpretations and witnesses --------------------------------

@@ -192,6 +192,22 @@ class Signature:
             index[f.dagger().display_name] = f.dagger()
         return index
 
+    @cached_property
+    def _translation(self) -> tuple[Signature, TranslationTable]:
+        """The result of :func:`int_translate`, computed once."""
+        variables: dict[MorphismVar, MorphismVar] = {}
+        ports: dict[MorphismVar, dict[Port, Port]] = {}
+        new_base: list[MorphismVar] = []
+        for f in self.base_morphisms:
+            g, table = _translate_var(f)
+            new_base.append(g)
+            variables[f] = g
+            ports[f] = table
+            variables[f.dagger()] = g.dagger()
+            ports[f.dagger()] = {_flip(p): _flip(q) for p, q in table.items()}
+        out = Signature(TRACED_MONOIDAL, self.objects, tuple(new_base))
+        return out, TranslationTable(variables, ports)
+
     @property
     def morphisms(self) -> tuple[MorphismVar, ...]:
         """All morphism variables, each dagger pair adjacent."""
@@ -218,10 +234,6 @@ class Signature:
 
     def has_morphism(self, display_name: str) -> bool:
         return display_name in self._mor_index
-
-    def with_object(self, name: str) -> Signature:
-        return Signature(self.kind, self.objects + (ObjectVar(name),),
-                         self.base_morphisms)
 
 
 def declare_morphism(sig: Signature, name: str, dom: Sort, cod: Sort) -> Signature:
@@ -295,20 +307,10 @@ def int_translate(sig: Signature) -> tuple[Signature, TranslationTable]:
     returned table records where each original port went.  The dagger
     is preserved: the translation of ``f†`` is the dagger of the
     translation of ``f``, with the port table mirrored accordingly.
-    Traced signatures translate to themselves.
+    Traced signatures translate to themselves.  The result is computed
+    once per signature and shared by every caller.
     """
-    variables: dict[MorphismVar, MorphismVar] = {}
-    ports: dict[MorphismVar, dict[Port, Port]] = {}
-    new_base: list[MorphismVar] = []
-    for f in sig.base_morphisms:
-        g, table = _translate_var(f)
-        new_base.append(g)
-        variables[f] = g
-        ports[f] = table
-        variables[f.dagger()] = g.dagger()
-        ports[f.dagger()] = {_flip(p): _flip(q) for p, q in table.items()}
-    out = Signature(TRACED_MONOIDAL, sig.objects, tuple(new_base))
-    return out, TranslationTable(variables, ports)
+    return sig._translation
 
 
 # -- text format -------------------------------------------------------

@@ -126,11 +126,6 @@ def type_check(t: Term, sig: Signature) -> tuple[Sort, Sort]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def is_closed(t: Term, sig: Signature) -> bool:
-    dom, cod = type_check(t, sig)
-    return dom.is_unit and cod.is_unit
-
-
 def close_term(t: Term, sig: Signature,
                prefix: str = "close") -> tuple[Term, Signature]:
     """Wrap ``t : X -> Y`` into a closed term ``in ; t ; out : I -> I``.

@@ -1,6 +1,16 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
+
+# Subprocesses started by tests (``python -m daggereq``) import the
+# same source tree as the tests, installed or not.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parent.parent / "src"),
+    os.environ.get("PYTHONPATH"),
+]))
 
 from daggereq import parse_signature, parse_term
 

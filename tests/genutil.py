@@ -132,6 +132,19 @@ def permuted_copy(d: Diagram, rng: random.Random) -> Diagram:
     return d.relabel(tuple(wire_perm), tuple(box_perm))
 
 
+def disjoint_union(*ds: Diagram) -> Diagram:
+    """Side-by-side union of simple diagrams; wires and boxes keep their order."""
+    wire_labels, box_labels, box_inputs, box_outputs = [], [], [], []
+    for d in ds:
+        shift = len(wire_labels)
+        wire_labels += d.wire_labels
+        box_labels += d.box_labels
+        box_inputs += [tuple(w + shift for w in ws) for ws in d.box_inputs]
+        box_outputs += [tuple(w + shift for w in ws) for ws in d.box_outputs]
+    return Diagram(tuple(wire_labels), tuple(box_labels),
+                   tuple(box_inputs), tuple(box_outputs))
+
+
 def random_term(rng: random.Random, sig: Signature, steps: int = 8) -> tm.Term:
     """A random well-typed term, possibly open, over ``sig``."""
     compact = sig.kind == "compact-closed"

@@ -15,6 +15,7 @@ from daggereq import (
     export_dot,
     find_isos,
     iso_count,
+    iso_count_semantic,
     mirror,
     parse_diagram,
     parse_signature,
@@ -295,3 +296,44 @@ def test_parse_diagram_rejects_malformed_input():
     with pytest.raises(DiagramError):
         # parses, but h is missing its wires entirely
         parse_diagram("box b0 : h", sig)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_counts_on_disjoint_unions_of_copies(seed):
+    rng = random.Random(seed)
+    sig = genutil.gen_signature()
+    d = genutil.random_simple_diagram(rng, sig, max_boxes=3, max_wires=5)
+    other = genutil.random_simple_diagram(rng, sig, max_boxes=3, max_wires=5)
+    if rng.random() < 0.5:
+        replaced = other
+    else:
+        replaced = genutil.random_simple_diagram(rng, sig, max_boxes=3, max_wires=5)
+    k = rng.randint(1, 3)
+    n = genutil.disjoint_union(*[d] * k, other)
+    m = genutil.permuted_copy(genutil.disjoint_union(replaced, *[d] * k), rng)
+    isos = find_isos(n, m)
+    if n.n_boxes <= 7:
+        assert ([(iso.box_map, iso.wire_map) for iso in isos]
+                == sorted(genutil.brute_force_isos(n, m)))
+    assert iso_count(n, m) == len(isos) == iso_count_semantic(n, m)
+
+
+def _loops(*words: str) -> str:
+    return " ; ".join(f"tr[X]({' ; '.join(word)})" for word in words)
+
+
+@pytest.mark.parametrize("t1, t2, count", [
+    (_loops(*["ab"] * 12), _loops(*["ba"] * 12), 479001600),
+    (_loops("a" * 200), _loops("a" * 200), 200),
+    (_loops(*["ab"] * 6, *["aa"] * 3, *["bb"] * 3), _loops(*["ab"] * 12), 0),
+], ids=["12-copies", "200-box-cycle", "unequal-12-copies"])
+def test_decide_equal_counts_without_listing_isomorphisms(pare, t1, t2, count):
+    sig = pare[0]
+    res = decide_equal(parse_term(t1, sig), parse_term(t2, sig), sig)
+    assert res.equal == (count > 0)
+    assert res.isomorphism_count == count
+    if count:
+        assert res.isomorphism.verify(res.diagram_a, res.diagram_b)
+    else:
+        assert res.isomorphism is None
