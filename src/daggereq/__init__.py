@@ -77,6 +77,7 @@ from .semantics import (
     all_boxes_monomial,
     denote,
     denote_naive,
+    denote_sweep,
     find_witness,
     interpretation_to_text,
     iso_count_semantic,

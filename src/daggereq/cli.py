@@ -16,6 +16,7 @@ are not equal, 2 bad input or internal disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -149,6 +150,8 @@ def _cross_check(report: _Report, result: dg.EqualityResult, name: str) -> bool:
 
 
 def cmd_check(args) -> int:
+    if args.trials < 0:
+        raise DaggereqError("--trials must be nonnegative")
     report, sig, result = _decide(args, "check")
     report.field("verdict", "equal" if result.equal else "not-equal",
                  "verdict: " + ("equal" if result.equal else "not equal"))
@@ -250,6 +253,7 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="daggereq",

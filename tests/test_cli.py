@@ -254,3 +254,26 @@ def test_parse_errors_report_position(tmp_path, capsys):
     assert main(["check", "--sig", sig, a, b]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "1:" in err
+
+
+def test_float_tolerance_sets_the_witness_comparison(pare_files, capsys):
+    # No two values differ by more than twice the larger, so tolerance 2
+    # accepts no candidate.
+    sig, a, b = pare_files
+    assert main(["check", "--sig", sig, a, b, "--ring", "float",
+                 "--dims", "X=3", "--tolerance", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "no witness at dimensions [3]" in out
+    assert "witness found" not in out
+
+
+def test_negative_trials_are_an_error(pare_files, capsys):
+    sig, a, b = pare_files
+    assert main(["check", "--sig", sig, a, b, "--trials", "-3"]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once():
+    from daggereq.cli import _build_parser
+
+    assert _build_parser() is _build_parser()

@@ -18,6 +18,7 @@ from daggereq import (
     compile_term,
     denote,
     denote_naive,
+    denote_sweep,
     find_witness,
     interpretation_to_text,
     iso_count,
@@ -29,6 +30,7 @@ from daggereq import (
     parse_term,
     random_interpretation,
 )
+from daggereq import cli, semantics
 from daggereq.signature import int_translate
 
 import genutil
@@ -142,9 +144,11 @@ def test_trivial_cycles_multiply_by_the_dimension():
         interp = random_interpretation(sig, {A: dim}, gauss, seed=1)
         assert denote(d, interp) == GaussianInt(dim * dim, 0)
         assert denote_naive(d, interp) == GaussianInt(dim * dim, 0)
+        assert denote_sweep(d, interp) == GaussianInt(dim * dim, 0)
     empty = Diagram((), (), (), ())
     interp = random_interpretation(sig, {A: 3}, gauss, seed=1)
     assert denote(empty, interp) == GaussianInt(1, 0)
+    assert denote_sweep(empty, interp) == GaussianInt(1, 0)
 
 
 def test_denote_handles_wires_looping_a_single_box():
@@ -156,6 +160,7 @@ def test_denote_handles_wires_looping_a_single_box():
     for i in range(3):
         expected = gauss.add(expected, h.entries[(i, i)])
     assert denote(d, interp) == expected == denote_naive(d, interp)
+    assert denote_sweep(d, interp) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -166,6 +171,60 @@ def test_denote_agrees_with_the_naive_sum(seed, dim):
     d = genutil.random_simple_diagram(rng, sig, max_boxes=3, max_wires=6)
     interp = random_interpretation(sig, dim, gauss, seed=seed)
     assert denote(d, interp) == denote_naive(d, interp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 2), st.integers(0, 2))
+def test_sweep_agrees_with_the_naive_sum_and_the_contraction(seed, dim_a, dim_b,
+                                                             loops_a, loops_b):
+    rng = random.Random(seed)
+    sig = genutil.gen_signature()
+    d = genutil.random_simple_diagram(rng, sig, max_boxes=5, max_wires=7)
+    loops = tuple((a, k) for a, k in ((A, loops_a), (B, loops_b)) if k)
+    d = Diagram(d.wire_labels, d.box_labels, d.box_inputs, d.box_outputs, loops)
+    dims = {A: dim_a, B: dim_b}
+    interp = random_interpretation(sig, dims, gauss, seed=seed)
+    assert denote_sweep(d, interp) == denote_naive(d, interp) == denote(d, interp)
+    floats = random_interpretation(sig, dims, ComplexFloatRing(), seed=seed)
+    expected = complex(denote_naive(d, floats))
+    assert complex(denote_sweep(d, floats)) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+def _matmul(p, q, dim):
+    return {(i, k): sum((p[(i, j)] * q[(j, k)] for j in range(dim)), gauss.zero)
+            for i in range(dim) for k in range(dim)}
+
+
+def test_sweep_value_of_a_long_trace_word_is_the_matrix_trace():
+    # 3^60 index assignments: only an evaluator that sums wires out as it
+    # goes can compute this.  ``a ; b`` is the matrix product B.A.
+    sig = parse_signature("object X\nmorphism a : X -> X\nmorphism b : X -> X")
+    rng = random.Random(60)
+    word = [rng.choice("ab") for _ in range(60)]
+    d = compile_term(parse_term("tr[X](" + " ; ".join(word) + ")", sig), sig)
+    interp = random_interpretation(sig, {X: 3}, gauss, seed=60)
+    matrices = {name: interp.matrix[sig.morphism(name)].entries for name in "ab"}
+    product = {(i, k): GaussianInt(int(i == k), 0) for i in range(3) for k in range(3)}
+    for letter in word:
+        product = _matmul(matrices[letter], product, 3)
+    assert denote_sweep(d, interp) == sum((product[(i, i)] for i in range(3)), gauss.zero)
+
+
+def test_witness_recheck_never_runs_the_naive_sum(tmp_path, monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("denote_naive called")
+
+    monkeypatch.setattr(semantics, "denote_naive", forbidden)
+    word = "aababbabbbaaab"  # its reverse is not a rotation of it
+    (tmp_path / "sig.txt").write_text(
+        "object X\nmorphism a : X -> X\nmorphism b : X -> X\n")
+    (tmp_path / "a.term").write_text("tr[X](" + " ; ".join(word) + ")\n")
+    (tmp_path / "b.term").write_text("tr[X](" + " ; ".join(word[::-1]) + ")\n")
+    code = cli.main(["check", "--sig", str(tmp_path / "sig.txt"),
+                     str(tmp_path / "a.term"), str(tmp_path / "b.term")])
+    assert code == 1
+    assert "witness found at dimensions [3]" in capsys.readouterr().out
 
 
 @settings(max_examples=25, deadline=None)
