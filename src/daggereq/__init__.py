@@ -71,6 +71,7 @@ from .scalars import (
     make_ring,
 )
 from .semantics import (
+    Contraction,
     Interpretation,
     Tensor,
     Witness,

@@ -153,6 +153,8 @@ def cmd_check(args) -> int:
     if args.trials < 0:
         raise DaggereqError("--trials must be nonnegative")
     report, sig, result = _decide(args, "check")
+    ring = make_ring(args.ring, args.tolerance)
+    dims = _parse_dims(args.dims, sig)
     report.field("verdict", "equal" if result.equal else "not-equal",
                  "verdict: " + ("equal" if result.equal else "not equal"))
     if not _cross_check(report, result, "structural_isomorphisms"):
@@ -168,8 +170,6 @@ def cmd_check(args) -> int:
         report.emit()
         return 0
 
-    ring = make_ring(args.ring, args.tolerance)
-    dims = _parse_dims(args.dims, sig)
     if dims:
         plans = [dims]
     else:

@@ -11,7 +11,11 @@ value by the dimension of its label.
 Three evaluators compute that value: :func:`denote` contracts wires
 greedily and serves both routes; :func:`denote_sweep`, which shares no
 code with it, re-checks every witness; :func:`denote_naive` sums every
-index assignment and is the test oracle for both.
+index assignment and is the test oracle for both.  The contraction is
+split into a plan, :class:`Contraction`, which fixes the wire order and
+the index maps from the wiring and the dimensions alone, and a run
+under one interpretation; the witness search plans each diagram once
+and runs the plan on every trial.
 
 The polynomial interpretation of a reference diagram M assigns to each
 object the free space on the wires of M with that label and to each
@@ -22,10 +26,12 @@ the isomorphisms from N to M.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Mapping, Sequence
 
 from .diagram import Diagram
 from .errors import DaggereqError, InterpretationError, ParseError
@@ -122,25 +128,6 @@ class Interpretation:
 
 # -- evaluation --------------------------------------------------------
 
-def _box_node(d: Diagram, b: int, interp: Interpretation,
-              ) -> tuple[tuple[int, ...], dict[tuple[int, ...], Any]]:
-    """Collapse a box tensor to one axis per distinct incident wire."""
-    t = interp.tensor(d.box_labels[b])
-    ports = tuple(d.box_outputs[b]) + tuple(d.box_inputs[b])
-    axes = tuple(sorted(set(ports)))
-    entries: dict[tuple[int, ...], Any] = {}
-    for idx, v in t.entries.items():
-        assignment: dict[int, int] = {}
-        ok = True
-        for w, i in zip(ports, idx):
-            if assignment.setdefault(w, i) != i:
-                ok = False
-                break
-        if ok:
-            entries[tuple(assignment[w] for w in axes)] = v
-    return axes, entries
-
-
 def _check_shapes(d: Diagram, interp: Interpretation) -> None:
     for b, f in enumerate(d.box_labels):
         t = interp.tensor(f)
@@ -158,94 +145,171 @@ def _trivial_factor(d: Diagram, interp: Interpretation, value: Any) -> Any:
     return value
 
 
+def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``idx -> tuple(idx[p] for p in positions)``."""
+    if not positions:
+        return lambda idx: ()
+    if len(positions) == 1:
+        p = positions[0]  # itemgetter of one position returns a bare item
+        return lambda idx: (idx[p],)
+    return itemgetter(*positions)
+
+
+class Contraction:
+    """The greedy pairwise contraction of one diagram, planned once.
+
+    A node is a sparse tensor with one axis per distinct wire, axes in
+    increasing wire order.  The plan starts from one node per box and
+    repeatedly removes the wire whose removal leaves the smallest node,
+    by the dimensions in ``space``, ties going to the lower wire: a
+    wire held by one node is summed over, a wire held by two nodes
+    joins them on every axis they share.  The order and the index maps
+    of every step depend only on the wiring and the dimensions, never
+    on the entries, so :meth:`run` evaluates the diagram under any
+    interpretation with dict joins and ring operations alone.  The
+    dimensions only set the cost of the order: a plan stays correct
+    under an interpretation with other dimensions.
+    """
+
+    def __init__(self, d: Diagram, space: Mapping[ObjectVar, int]):
+        self.diagram = d
+        # The distinct box labels, whose tensors each run looks up once.
+        self._labels = list(dict.fromkeys(d.box_labels))
+        label_index = {f: i for i, f in enumerate(self._labels)}
+        # Per box: the index of its label, the port pairs a self-loop
+        # forces equal, and the getter from a full entry index to the
+        # node key (None when the index already is the key).
+        self._boxes: list[tuple[int, tuple[tuple[int, int], ...],
+                                Callable | None]] = []
+        axes_of: dict[int, tuple[int, ...]] = {}
+        for b, f in enumerate(d.box_labels):
+            ports = tuple(d.box_outputs[b]) + tuple(d.box_inputs[b])
+            first: dict[int, int] = {}
+            for p, w in enumerate(ports):
+                first.setdefault(w, p)
+            axes = tuple(sorted(first))
+            loops = tuple((p, first[w]) for p, w in enumerate(ports) if first[w] != p)
+            positions = [first[w] for w in axes]
+            get = (None if not loops and positions == list(range(len(ports)))
+                   else _tuple_getter(positions))
+            self._boxes.append((label_index[f], loops, get))
+            axes_of[b] = axes
+
+        holders: dict[int, set[int]] = {}
+        for nid, axes in axes_of.items():
+            for w in axes:
+                holders.setdefault(w, set()).add(nid)
+        try:
+            dims = {w: space[d.wire_labels[w]] for w in holders}
+        except KeyError as exc:
+            raise InterpretationError(
+                f"object {exc.args[0]} has no dimension") from None
+
+        def merged_size(w: int) -> int:
+            size = 1
+            for a in set().union(*(axes_of[nid] for nid in holders[w])) - {w}:
+                size *= dims[a]
+            return size
+
+        # A step changes the merged size only of the wires on the node
+        # it makes, so the heap holds every current (size, wire) pair
+        # plus stale ones, which are skipped.
+        cost = {w: merged_size(w) for w in holders}
+        heap = [(c, w) for w, c in cost.items()]
+        heapq.heapify(heap)
+        # Per step: the input node ids (the second None for a sum over
+        # one node's own axis), the getters of the shared-axis join keys
+        # of both inputs, and the getter of the output key from the
+        # input index (both inputs' indices, concatenated, for a join).
+        self._steps: list[tuple[int, int | None, Callable | None,
+                                Callable | None, Callable]] = []
+        while holders:
+            c, w = heapq.heappop(heap)
+            if w not in holders or cost[w] != c:
+                continue
+            involved = sorted(holders.pop(w))
+            old = [axes_of.pop(nid) for nid in involved]
+            if len(involved) == 1:
+                (axes,) = old
+                new = tuple(a for a in axes if a != w)
+                self._steps.append((involved[0], None, None, None,
+                                    _tuple_getter([axes.index(a) for a in new])))
+            else:
+                a1, a2 = old
+                joined = a1 + a2
+                shared = sorted(set(a1) & set(a2))
+                new = tuple(sorted(set(joined) - {w}))
+                self._steps.append((
+                    involved[0], involved[1],
+                    itemgetter(*(a1.index(a) for a in shared)),
+                    itemgetter(*(a2.index(a) for a in shared)),
+                    _tuple_getter([joined.index(a) for a in new]),
+                ))
+            nid = d.n_boxes + len(self._steps) - 1
+            axes_of[nid] = new
+            for a in new:
+                holders[a].difference_update(involved)
+                holders[a].add(nid)
+            for a in new:
+                cost[a] = merged_size(a)
+                heapq.heappush(heap, (cost[a], a))
+        # Nodes left have no axes; their values multiply in id order.
+        self._scalars = sorted(axes_of)
+
+    def run(self, interp: Interpretation) -> Any:
+        """Value of the diagram under ``interp``.
+
+        The caller checks the matrix shapes first (see :func:`denote`).
+        """
+        ring = interp.ring
+        add, mul = ring.add, ring.mul
+        tensors = [interp.tensor(f).entries for f in self._labels]
+        nodes: list[Mapping[tuple[int, ...], Any] | None] = []
+        for label, loops, get in self._boxes:
+            entries = tensors[label]
+            if loops:
+                entries = {get(idx): v for idx, v in entries.items()
+                           if all(idx[p] == idx[q] for p, q in loops)}
+            elif get is not None:
+                entries = {get(idx): v for idx, v in entries.items()}
+            nodes.append(entries)
+        for i1, i2, get1, get2, get_out in self._steps:
+            e1 = nodes[i1]
+            nodes[i1] = None
+            out: dict[tuple[int, ...], Any] = {}
+            if i2 is None:
+                for idx, v in e1.items():
+                    key = get_out(idx)
+                    out[key] = add(out[key], v) if key in out else v
+            else:
+                e2 = nodes[i2]
+                nodes[i2] = None
+                grouped: dict[Any, list[tuple[tuple[int, ...], Any]]] = {}
+                for idx2, v2 in e2.items():
+                    grouped.setdefault(get2(idx2), []).append((idx2, v2))
+                for idx1, v1 in e1.items():
+                    for idx2, v2 in grouped.get(get1(idx1), ()):
+                        key = get_out(idx1 + idx2)
+                        term = mul(v1, v2)
+                        out[key] = add(out[key], term) if key in out else term
+            nodes.append(out)
+        value = ring.one
+        for nid in self._scalars:
+            value = mul(value, nodes[nid].get((), ring.zero))
+        return _trivial_factor(self.diagram, interp, value)
+
+
 def denote(d: Diagram, interp: Interpretation) -> Any:
     """Value of a closed diagram, by greedy pairwise contraction.
 
-    Equals :func:`denote_naive` exactly over exact rings; over floats
-    only the summation order differs.
+    Plans the :class:`Contraction` at the dimensions of ``interp`` and
+    runs it once; to evaluate one diagram under many interpretations,
+    build the plan once and call its :meth:`Contraction.run`.  Equals
+    :func:`denote_naive` exactly over exact rings; over floats only the
+    summation order differs.
     """
     _check_shapes(d, interp)
-    ring = interp.ring
-    nodes: dict[int, tuple[tuple[int, ...], dict[tuple[int, ...], Any]]] = {}
-    for b in range(d.n_boxes):
-        nodes[b] = _box_node(d, b, interp)
-    next_id = d.n_boxes
-
-    holders: dict[int, set[int]] = {}
-    for nid, (axes, _) in nodes.items():
-        for w in axes:
-            holders.setdefault(w, set()).add(nid)
-    dims = {w: interp.dim(d.wire_labels[w]) for w in holders}
-
-    def merged_size(w: int) -> int:
-        result_axes: set[int] = set()
-        for nid in holders[w]:
-            result_axes.update(nodes[nid][0])
-        result_axes.discard(w)
-        size = 1
-        for a in result_axes:
-            size *= dims[a]
-        return size
-
-    while holders:
-        w = min(holders, key=lambda w: (merged_size(w), w))
-        involved = sorted(holders[w])
-        if len(involved) == 1:
-            axes, entries = nodes[involved[0]]
-            new = _eliminate(axes, entries, w, ring)
-        else:
-            a1, e1 = nodes[involved[0]]
-            a2, e2 = nodes[involved[1]]
-            new = _contract(a1, e1, a2, e2, w, ring)
-        for nid in involved:
-            old_axes, _ = nodes.pop(nid)
-            for a in old_axes:
-                if a != w:
-                    holders[a].discard(nid)
-        del holders[w]
-        nodes[next_id] = new
-        for a in new[0]:
-            holders[a].add(next_id)
-        next_id += 1
-
-    value = ring.one
-    for axes, entries in nodes.values():
-        assert not axes
-        value = ring.mul(value, entries.get((), ring.zero))
-    return _trivial_factor(d, interp, value)
-
-
-def _eliminate(axes: tuple[int, ...], entries: dict, w: int, ring: ScalarRing):
-    """Sum one node over its own axis ``w`` (a self-loop)."""
-    k = axes.index(w)
-    out_axes = axes[:k] + axes[k + 1:]
-    out: dict[tuple[int, ...], Any] = {}
-    for idx, v in entries.items():
-        key = idx[:k] + idx[k + 1:]
-        out[key] = ring.add(out[key], v) if key in out else v
-    return out_axes, out
-
-
-def _contract(axes1: tuple[int, ...], e1: dict, axes2: tuple[int, ...],
-              e2: dict, w: int, ring: ScalarRing):
-    """Merge two nodes, summing over every axis they share."""
-    shared = tuple(sorted(set(axes1) & set(axes2)))
-    out_axes = tuple(sorted((set(axes1) | set(axes2)) - {w}))
-    pos2_shared = [axes2.index(a) for a in shared]
-    pos1_shared = [axes1.index(a) for a in shared]
-    grouped: dict[tuple[int, ...], list[tuple[tuple[int, ...], Any]]] = {}
-    for idx2, v2 in e2.items():
-        grouped.setdefault(tuple(idx2[p] for p in pos2_shared), []).append((idx2, v2))
-    out: dict[tuple[int, ...], Any] = {}
-    for idx1, v1 in e1.items():
-        key = tuple(idx1[p] for p in pos1_shared)
-        for idx2, v2 in grouped.get(key, ()):
-            assignment = dict(zip(axes1, idx1))
-            assignment.update(zip(axes2, idx2))
-            out_key = tuple(assignment[a] for a in out_axes)
-            term = ring.mul(v1, v2)
-            out[out_key] = ring.add(out[out_key], term) if out_key in out else term
-    return out_axes, out
+    return Contraction(d, interp.space).run(interp)
 
 
 def denote_sweep(d: Diagram, interp: Interpretation) -> Any:
@@ -479,17 +543,24 @@ def find_witness(n: Diagram, m: Diagram, dims: Mapping[ObjectVar, int] | int,
     """Search random interpretations for one giving ``n`` and ``m``
     different values.
 
-    Every candidate found with the contraction evaluator is re-checked
-    with the independent sweep evaluator before it is reported, and the
-    reported values are the sweep's.  Values are compared with
-    ``ring.eq``, so over floats the ring's tolerance decides.  On an
-    exact ring the two evaluators must agree.
+    Every trial has the same dimensions, so the :class:`Contraction` of
+    each diagram is planned once, at the first trial, and run on every
+    trial.  Every candidate it finds is re-checked with the independent
+    sweep evaluator before it is reported, and the reported values are
+    the sweep's.  Values are compared with ``ring.eq``, so over floats
+    the ring's tolerance decides.  On an exact ring the two evaluators
+    must agree.
     """
     sig = _signature_of((n, m))
+    plans = None
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
         interp = random_interpretation(sig, dims, ring, trial_seed)
-        va, vb = denote(n, interp), denote(m, interp)
+        _check_shapes(n, interp)
+        _check_shapes(m, interp)
+        if plans is None:
+            plans = Contraction(n, interp.space), Contraction(m, interp.space)
+        va, vb = plans[0].run(interp), plans[1].run(interp)
         if ring.eq(va, vb):
             continue
         sa, sb = denote_sweep(n, interp), denote_sweep(m, interp)

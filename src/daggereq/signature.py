@@ -138,6 +138,39 @@ class MorphismVar:
         return f"{self.display_name} : {self.dom} -> {self.cod}"
 
 
+def _check_objects(objects: tuple[ObjectVar, ...]) -> set[str]:
+    """Validate object declarations; return their names."""
+    seen: set[str] = set()
+    for obj in objects:
+        _check_name(obj.name, "object")
+        if obj.name in seen:
+            raise SignatureError(f"duplicate object {obj.name!r}")
+        seen.add(obj.name)
+    return seen
+
+
+def _check_morphism(f: MorphismVar, kind: str, obj_names: set[str],
+                    mor_seen: set[str]) -> None:
+    """Validate one declared morphism against the objects and the names
+    of the morphisms declared before it."""
+    _check_name(f.name, "morphism")
+    if f.daggered:
+        raise SignatureError(
+            f"morphism {f.name!r} must be declared undaggered"
+        )
+    if f.name in mor_seen or f.name in obj_names:
+        raise SignatureError(f"duplicate name {f.name!r}")
+    for sf in tuple(f.dom) + tuple(f.cod):
+        if sf.base.name not in obj_names:
+            raise SignatureError(
+                f"morphism {f.name!r} uses undeclared object {sf.base.name!r}"
+            )
+        if sf.starred and kind == TRACED_MONOIDAL:
+            raise SignatureError(
+                f"starred object {sf} in traced monoidal signature"
+            )
+
+
 @dataclass(frozen=True)
 class Signature:
     """An immutable signature.
@@ -153,32 +186,11 @@ class Signature:
     def __post_init__(self) -> None:
         if self.kind not in (COMPACT_CLOSED, TRACED_MONOIDAL):
             raise SignatureError(f"unknown signature kind {self.kind!r}")
-        seen: set[str] = set()
-        for obj in self.objects:
-            _check_name(obj.name, "object")
-            if obj.name in seen:
-                raise SignatureError(f"duplicate object {obj.name!r}")
-            seen.add(obj.name)
-        obj_names = seen
+        obj_names = _check_objects(self.objects)
         mor_seen: set[str] = set()
         for f in self.base_morphisms:
-            _check_name(f.name, "morphism")
-            if f.daggered:
-                raise SignatureError(
-                    f"morphism {f.name!r} must be declared undaggered"
-                )
-            if f.name in mor_seen or f.name in obj_names:
-                raise SignatureError(f"duplicate name {f.name!r}")
+            _check_morphism(f, self.kind, obj_names, mor_seen)
             mor_seen.add(f.name)
-            for sf in tuple(f.dom) + tuple(f.cod):
-                if sf.base.name not in obj_names:
-                    raise SignatureError(
-                        f"morphism {f.name!r} uses undeclared object {sf.base.name!r}"
-                    )
-                if sf.starred and self.kind == TRACED_MONOIDAL:
-                    raise SignatureError(
-                        f"starred object {sf} in traced monoidal signature"
-                    )
 
     @cached_property
     def _obj_index(self) -> Mapping[str, ObjectVar]:
@@ -346,7 +358,6 @@ def parse_signature(text: str) -> Signature:
     """
     kind = COMPACT_CLOSED
     objects: list[ObjectVar] = []
-    names: set[str] = set()
     morphisms: list[tuple[int, str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -364,7 +375,6 @@ def parse_signature(text: str) -> Signature:
             if not _NAME_RE.match(rest):
                 raise ParseError(f"bad object name {rest!r}", lineno)
             objects.append(ObjectVar(rest))
-            names.add(rest)
         elif head == "morphism":
             m = re.match(r"([^:]+):(.+)->(.+)\Z", rest)
             if not m:
@@ -372,15 +382,19 @@ def parse_signature(text: str) -> Signature:
             morphisms.append((lineno, m.group(1).strip(), m.group(2), m.group(3)))
         else:
             raise ParseError(f"unknown declaration {head!r}", lineno)
-    sig = Signature(kind, tuple(objects))
+    obj_names = _check_objects(tuple(objects))
+    declared: list[MorphismVar] = []
+    mor_seen: set[str] = set()
     for lineno, name, dom_text, cod_text in morphisms:
-        dom = _parse_sort_text(dom_text, names, lineno)
-        cod = _parse_sort_text(cod_text, names, lineno)
+        f = MorphismVar(name, _parse_sort_text(dom_text, obj_names, lineno),
+                        _parse_sort_text(cod_text, obj_names, lineno))
         try:
-            sig = declare_morphism(sig, name, dom, cod)
+            _check_morphism(f, kind, obj_names, mor_seen)
         except SignatureError as exc:
             raise ParseError(str(exc), lineno) from None
-    return sig
+        declared.append(f)
+        mor_seen.add(name)
+    return Signature(kind, tuple(objects), tuple(declared))
 
 
 def morphism_line(f: MorphismVar) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -236,6 +237,43 @@ def test_bad_dims_are_an_error(pare_files, capsys):
     assert main(["check", "--sig", sig, a, b, "--dims", "X=banana"]) == 2
     assert "bad --dims" in capsys.readouterr().err
     assert main(["check", "--sig", sig, a, b, "--dims", "Q=2"]) == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dims", "X=banana"], "bad --dims"),
+    (["--ring", "float", "--tolerance", "-1"], "tolerance must be nonnegative"),
+])
+def test_bad_witness_flags_are_an_error_on_equal_terms(worked_files, capsys,
+                                                       flags, message):
+    sig, a, b = worked_files
+    assert main(["check", "--sig", sig, a, b] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ([], {"value_a": "330360+2443544i", "value_b": "516499+5847287i",
+          "trial": 0, "seed": 0, "text_sha256":
+          "a30ddcd81525258738e85314d09ff5d36de88bb71c8ea7c0952e8b6c1b78fd19"}),
+    (["--ring", "float", "--dims", "X=3"],
+     {"value_a": "3.064316927976586-7.6103228299860906i",
+      "value_b": "3.6354643458980043-2.2968622493691955i",
+      "trial": 0, "seed": 0, "text_sha256":
+      "caaec1fc6b0052ed8d18c4820f860b0530e279869cbf1c29847b2ca21c12a02d"}),
+])
+def test_check_witness_is_pinned_by_the_seed(pare_files, capsys, flags, expected):
+    sig, a, b = pare_files
+    assert main(["check", "--format", "json", "--sig", sig, a, b] + flags) == 1
+    record = json.loads(capsys.readouterr().out)
+    witness = record["witness"]
+    assert {
+        "value_a": record["value_a"],
+        "value_b": record["value_b"],
+        "trial": witness["trial"],
+        "seed": witness["seed"],
+        "text_sha256": hashlib.sha256(witness["text"].encode()).hexdigest(),
+    } == expected
 
 
 def test_module_entry_point(worked_files):

@@ -191,6 +191,71 @@ def test_sweep_agrees_with_the_naive_sum_and_the_contraction(seed, dim_a, dim_b,
     assert complex(denote_sweep(d, floats)) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+def _self_loop_boxes(sig):
+    """``h`` with its output fed back to its input, beside ``g`` with both."""
+    h, g = sig.morphism("h"), sig.morphism("g")
+    return Diagram((A, B, A), (h, g), ((0,), (2, 1)), ((0,), (1, 2)))
+
+
+def _random_closed_diagram(seed, loops_a, loops_b, self_loops):
+    rng = random.Random(seed)
+    sig = genutil.gen_signature()
+    d = genutil.random_simple_diagram(rng, sig, max_boxes=4, max_wires=5)
+    if self_loops:
+        d = genutil.disjoint_union(d, _self_loop_boxes(sig))
+    loops = tuple((a, k) for a, k in ((A, loops_a), (B, loops_b)) if k)
+    return sig, Diagram(d.wire_labels, d.box_labels, d.box_inputs, d.box_outputs, loops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 2), st.integers(0, 2), st.booleans())
+def test_one_plan_evaluates_every_interpretation(seed, dim_a, dim_b, loops_a,
+                                                 loops_b, self_loops):
+    sig, d = _random_closed_diagram(seed, loops_a, loops_b, self_loops)
+    dims = {A: dim_a, B: dim_b}
+    plan = semantics.Contraction(d, dims)
+    for k in range(3):
+        interp = random_interpretation(sig, dims, gauss, seed=seed + k)
+        assert plan.run(interp) == denote_naive(d, interp) == denote_sweep(d, interp)
+        floats = random_interpretation(sig, dims, ComplexFloatRing(), seed=seed + k)
+        expected = complex(denote_naive(d, floats))
+        for value in (plan.run(floats), denote_sweep(d, floats)):
+            assert complex(value) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 3), st.booleans())
+def test_a_plan_is_right_at_other_dimensions(seed, plan_a, plan_b, dim_a, dim_b,
+                                             self_loops):
+    # Only the cost of the order depends on the dimensions; the index
+    # maps depend on the wiring alone.
+    sig, d = _random_closed_diagram(seed, 1, 0, self_loops)
+    plan = semantics.Contraction(d, {A: plan_a, B: plan_b})
+    interp = random_interpretation(sig, {A: dim_a, B: dim_b}, gauss, seed=seed)
+    assert plan.run(interp) == denote_naive(d, interp)
+
+
+def test_find_witness_plans_each_diagram_once(monkeypatch):
+    built = []
+
+    class Counting(semantics.Contraction):
+        def __init__(self, d, space):
+            built.append(d)
+            super().__init__(d, space)
+
+    monkeypatch.setattr(semantics, "Contraction", Counting)
+    sig = parse_signature("object X\nmorphism a : X -> X\nmorphism b : X -> X")
+    word = "aababbb"  # its reverse is not a rotation of it
+    n, m = (compile_term(parse_term("tr[X](" + " ; ".join(w) + ")", sig), sig)
+            for w in (word, word[::-1]))
+    # A word and its reverse have equal traces on 2x2 matrices, so every
+    # one of the 100 trials runs.
+    assert find_witness(n, m, 2, gauss, trials=100) is None
+    assert built == [n, m]
+
+
 def _matmul(p, q, dim):
     return {(i, k): sum((p[(i, j)] * q[(j, k)] for j in range(dim)), gauss.zero)
             for i in range(dim) for k in range(dim)}

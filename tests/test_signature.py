@@ -100,6 +100,12 @@ def test_parse_signature_errors_carry_line_numbers():
         parse_signature("object A\nkind traced-monoidal")
 
 
+def test_duplicate_morphism_error_names_its_line():
+    text = "object A\nmorphism f : A -> A\nmorphism f : A -> A x A\nmorphism g : A -> A\n"
+    with pytest.raises(ParseError, match=r"\A3: duplicate name 'f'\Z"):
+        parse_signature(text)
+
+
 def test_traced_kind_rejects_stars():
     with pytest.raises(ParseError):
         parse_signature("kind traced-monoidal\nobject A\nmorphism f : A* -> A")
