@@ -4,6 +4,10 @@ All three rings are involutive: they carry a conjugation that the
 dagger of a matrix applies entrywise.  The polynomial ring has one
 formal variable per box of a reference diagram together with its
 formal conjugate, written ``x3`` and ``x3~``.
+
+A fourth ring, :class:`MultilinearRing`, is a quotient of the
+polynomial ring with no conjugation; the semantic isomorphism count
+evaluates in it.
 """
 
 from __future__ import annotations
@@ -358,6 +362,46 @@ class ConjPolynomialRing(ScalarRing):
 
     def eq(self, a: ConjPolynomial, b: ConjPolynomial) -> bool:
         return a == b
+
+
+class MultilinearRing(ScalarRing):
+    """Polynomials over box variables modulo ``x_i^2 = 0`` and ``x_i~ = 0``.
+
+    A value is a ``dict`` from a monomial, the bitmask of its variables,
+    to its integer coefficient.  A product of two monomials that share
+    a variable is zero, so only square-free monomials are kept.  The
+    conjugate variables ``x_i~`` are zero too, so the ring has no
+    conjugation.  Used by the semantic isomorphism count only; it is
+    not a ring the witness search can choose.
+    """
+
+    name = "multilinear"
+
+    @property
+    def zero(self) -> dict[int, int]:
+        return {}
+
+    @property
+    def one(self) -> dict[int, int]:
+        return {0: 1}
+
+    def add(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+        out = dict(a)
+        for m, c in b.items():
+            out[m] = out.get(m, 0) + c
+        return out
+
+    def mul(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                if not m1 & m2:
+                    m = m1 | m2
+                    out[m] = out.get(m, 0) + c1 * c2
+        return out
+
+    def from_int(self, n: int) -> dict[int, int]:
+        return {0: n}
 
 
 RINGS = {

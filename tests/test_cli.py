@@ -155,6 +155,20 @@ def test_iso_count_zero_exits_one(pare_files, capsys):
     assert record["semantic_isomorphisms"] == 0
 
 
+def test_iso_count_of_twelve_loop_copies(tmp_path, capsys):
+    sig = write(tmp_path, "sig.txt", PARE_SIG)
+    a = write(tmp_path, "a.term", " x ".join(["tr[X](a ; b)"] * 12) + "\n")
+    # The same loops, rotated, daggered twice and regrouped.
+    forms = ["tr[X](b ; a)", "tr[X](dagger(b† ; a†))", "tr[X](a ; b)"]
+    loops = [forms[i % 3] for i in range(12)]
+    b = write(tmp_path, "b.term", " x ".join(
+        "(" + " x ".join(loops[i:i + 4]) + ")" for i in range(0, 12, 4)) + "\n")
+    assert main(["iso-count", "--format", "json", "--sig", sig, a, b]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["structural_isomorphisms"] == 479001600
+    assert record["semantic_isomorphisms"] == 479001600
+
+
 def test_poly_command(worked_files, capsys):
     sig, a, b = worked_files
     assert main(["poly", "--format", "json", "--sig", sig, a, b]) == 0

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -117,6 +118,57 @@ def test_semantic_count_is_zero_for_foreign_labels(worked):
     assert iso_count_semantic(empty, empty) == 1
     assert iso_count_semantic(d, empty) == 0
     assert iso_count_semantic(empty, d) == 0
+
+
+def _polynomial_count(n, m):
+    value, target = semantics.iso_polynomial(n, m)
+    return value.coefficient(target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(["permuted", "doubled", "random"]))
+def test_truncated_count_agrees_with_both_other_counts(seed, kind):
+    # gen_signature's pool holds every label and its dagger.
+    rng = random.Random(seed)
+    sig = genutil.gen_signature()
+    n = genutil.random_simple_diagram(rng, sig, max_boxes=4, max_wires=6)
+    if kind == "doubled":
+        n = genutil.disjoint_union(n, genutil.permuted_copy(n, rng))
+    if kind == "random":
+        m = genutil.random_simple_diagram(rng, sig, max_boxes=4, max_wires=6)
+    else:
+        m = genutil.permuted_copy(n, rng)
+    count = iso_count_semantic(n, m)
+    assert count == iso_count(n, m) == _polynomial_count(n, m)
+    if kind != "random":
+        assert count > 0
+
+
+def test_twelve_loop_copies_have_twelve_factorial_isomorphisms():
+    sig = parse_signature("object X\nmorphism a : X -> X\nmorphism b : X -> X")
+    loop = compile_term(parse_term("tr[X](a ; b)", sig), sig)
+    n = genutil.disjoint_union(*[loop] * 12)
+    m = genutil.permuted_copy(n, random.Random(12))
+    assert iso_count_semantic(n, m) == math.factorial(12) == iso_count(n, m)
+
+
+def test_a_200_box_cycle_has_200_automorphisms():
+    sig = parse_signature("object X\nmorphism a : X -> X")
+    a = sig.morphism("a")
+    k = 200
+    cycle = Diagram((X,) * k, (a,) * k, tuple((i,) for i in range(k)),
+                    tuple(((i + 1) % k,) for i in range(k)))
+    assert iso_count_semantic(cycle, cycle) == 200 == iso_count(cycle, cycle)
+
+
+def test_a_daggered_label_does_not_match_its_base():
+    sig = parse_signature("object X\nmorphism a : X -> X")
+    plain = compile_term(parse_term("tr[X](a)", sig), sig)
+    daggered = compile_term(parse_term("tr[X](dagger(a))", sig), sig)
+    assert daggered.box_labels[0] == plain.box_labels[0].dagger()
+    assert iso_count_semantic(daggered, plain) == 0 == iso_count_semantic(plain, daggered)
+    assert _polynomial_count(daggered, plain) == 0
+    assert iso_count_semantic(daggered, daggered) == 1
 
 
 def test_semantic_count_requires_simple_diagrams():
@@ -316,6 +368,15 @@ def test_random_interpretation_is_seed_deterministic():
     starred = genutil.starred_signature()
     with pytest.raises(InterpretationError):
         random_interpretation(starred, 2, gauss, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(0, 3), st.integers(0, 3), st.booleans())
+def test_random_interpretations_are_valid_by_construction(seed, dim_a, dim_b, floats):
+    ring = ComplexFloatRing() if floats else gauss
+    interp = random_interpretation(genutil.gen_signature(), {A: dim_a, B: dim_b},
+                                   ring, seed=seed)
+    interp.check()
 
 
 def test_find_witness_separates_loop_counts():
