@@ -14,7 +14,10 @@ port positions are routed through the translation table.
 
 Isomorphism is decided by canonical codes of connected components.
 Ports are ordered, so fixing the image of one box fixes the image of
-every box in its component; no search is needed.
+every box in its component; no search is needed.  For the same reason
+automorphisms act freely on boxes: two walks with equal codes give an
+automorphism, roots in the orbit of a walked root are not walked again,
+and a component's automorphism count is the size of one orbit.
 """
 
 from __future__ import annotations
@@ -361,9 +364,11 @@ class DiagramIso:
 
 # The boxes of one connected component in the order a walk visits them.
 Walk = tuple[int, ...]
-# Per code class shared by two diagrams, its components in each; a
-# component is given by its walks from its canonical roots.
-Matching = list[tuple[list[tuple[Walk, ...]], list[tuple[Walk, ...]]]]
+# A component: its walk from its first canonical root, and all its
+# canonical roots, one per automorphism.
+Component = tuple[Walk, tuple[int, ...]]
+# Per code class shared by two diagrams, its components in each.
+Matching = list[tuple[list[Component], list[Component]]]
 
 
 def _walk(d: Diagram, keys: list[str], root: int,
@@ -399,15 +404,19 @@ def _walk(d: Diagram, keys: list[str], root: int,
     return tuple(code), tuple(order)
 
 
-def _code_classes(d: Diagram) -> dict[tuple, list[tuple[Walk, ...]]]:
+def _code_classes(d: Diagram) -> dict[tuple, list[Component]]:
     """The connected components of ``d``, grouped by canonical code.
 
     A component's canonical code is its least code from a root with its
-    rarest label (ties broken by name).  The walks from the roots that
-    reach it, one per automorphism, stand for the component.
+    rarest label (ties broken by name).  Two full walks with the same
+    code map onto each other position by position, an automorphism of
+    the component; these are kept as generators, and a root in the
+    orbit of a root already walked has that root's code, so it is
+    skipped.  Automorphisms act freely on the boxes, so the canonical
+    roots are exactly the orbit of the first one, one per automorphism.
     """
     keys = [str(f) for f in d.box_labels]
-    classes: dict[tuple, list[tuple[Walk, ...]]] = {}
+    classes: dict[tuple, list[Component]] = {}
     seen: set[int] = set()
     for b in range(d.n_boxes):
         if b in seen:
@@ -416,16 +425,40 @@ def _code_classes(d: Diagram) -> dict[tuple, list[tuple[Walk, ...]]]:
         seen.update(boxes)
         counts = Counter(keys[c] for c in boxes)
         rarest = min(counts, key=lambda key: (counts[key], key))
-        best, walks = None, []
-        for root in [c for c in boxes if keys[c] == rarest]:
+        roots = [c for c in boxes if keys[c] == rarest]
+        # Union-find over the roots: the orbits under the generators.
+        parent = {c: c for c in roots}
+
+        def find(c: int) -> int:
+            while parent[c] != c:
+                parent[c] = parent[parent[c]]
+                c = parent[c]
+            return c
+
+        walked: set[int] = set()  # representatives of walked orbits
+        best, ref = None, ()
+        for root in roots:
+            rep = find(root)
+            if rep in walked:
+                continue
+            walked.add(rep)
             found = _walk(d, keys, root, best)
             if found is None:
                 continue
             code, walk = found
             if code != best:
-                best, walks = code, []
-            walks.append(walk)
-        classes.setdefault(best, []).append(tuple(walks))
+                best, ref = code, walk
+                continue
+            for x, y in zip(ref, walk):
+                if x in parent:
+                    x, y = find(x), find(y)
+                    if x != y:
+                        parent[y] = x
+                        if y in walked:
+                            walked.add(x)
+        first = find(ref[0])
+        canonical = tuple(c for c in roots if find(c) == first)
+        classes.setdefault(best, []).append((ref, canonical))
     return classes
 
 
@@ -444,8 +477,8 @@ def _count(matching: Matching) -> int:
     """k! * a**k over each class of k components with a automorphisms."""
     count = 1
     for _, comps in matching:
-        for k, walks in enumerate(comps, start=1):
-            count *= k * len(walks)
+        for k, (_, roots) in enumerate(comps, start=1):
+            count *= k * len(roots)
     return count
 
 
@@ -466,17 +499,21 @@ def find_isos(n: Diagram, m: Diagram) -> list[DiagramIso]:
 
     Each one pairs up the components of every code class in some order
     and maps each component of ``n`` onto its partner's walk from one
-    of the partner's canonical roots.
+    of the partner's canonical roots.  Only this walks every canonical
+    root, one per automorphism, which the output lists anyway.
     """
     matching = _match(n, m)
     if matching is None:
         return []
+    keys = [str(f) for f in m.box_labels]
     per_class = []
     for comps_n, comps_m in matching:
-        refs = [walks[0] for walks in comps_n]
+        refs = [ref for ref, _ in comps_n]
+        walks_m = [[_walk(m, keys, root)[1] for root in roots]
+                   for _, roots in comps_m]
         per_class.append([
             list(zip(refs, targets))
-            for partners in itertools.permutations(comps_m)
+            for partners in itertools.permutations(walks_m)
             for targets in itertools.product(*partners)
         ])
     isos = [_iso(n, m, itertools.chain.from_iterable(choice))
@@ -527,9 +564,9 @@ def decide_equal(t1: tm.Term, t2: tm.Term, sig: Signature) -> EqualityResult:
     matching = _match(d1, d2)
     if matching is None:
         return EqualityResult(False, d1, d2, 0, None, sig_t)
-    iso = _iso(d1, d2, ((walks_n[0], walks_m[0])
+    iso = _iso(d1, d2, ((ref_n, ref_m)
                         for comps_n, comps_m in matching
-                        for walks_n, walks_m in zip(comps_n, comps_m)))
+                        for (ref_n, _), (ref_m, _) in zip(comps_n, comps_m)))
     return EqualityResult(True, d1, d2, _count(matching), iso, sig_t)
 
 

@@ -186,11 +186,14 @@ class Contraction:
         # The distinct box labels, whose tensors each run looks up once.
         self._labels = list(dict.fromkeys(d.box_labels))
         label_index = {f: i for i, f in enumerate(self._labels)}
-        # Per box: the index of its label, the port pairs a self-loop
-        # forces equal, and the getter from a full entry index to the
-        # node key (None when the index already is the key).
-        self._boxes: list[tuple[int, tuple[tuple[int, int], ...],
+        # Per distinct rekeying of a label's entries: the index of the
+        # label, the port pairs a self-loop forces equal, and the getter
+        # from a full entry index to the node key (None when the index
+        # already is the key).  Boxes that rekey alike share one.
+        self._views: list[tuple[int, tuple[tuple[int, int], ...],
                                 Callable | None]] = []
+        self._box_views: list[int] = []
+        view_of: dict[tuple, int] = {}
         axes_of: dict[int, tuple[int, ...]] = {}
         for b, f in enumerate(d.box_labels):
             ports = tuple(d.box_outputs[b]) + tuple(d.box_inputs[b])
@@ -200,9 +203,13 @@ class Contraction:
             axes = tuple(sorted(first))
             loops = tuple((p, first[w]) for p, w in enumerate(ports) if first[w] != p)
             positions = [first[w] for w in axes]
-            get = (None if not loops and positions == list(range(len(ports)))
-                   else _tuple_getter(positions))
-            self._boxes.append((label_index[f], loops, get))
+            view = (label_index[f], loops, tuple(positions))
+            if view not in view_of:
+                view_of[view] = len(self._views)
+                get = (None if not loops and positions == list(range(len(ports)))
+                       else _tuple_getter(positions))
+                self._views.append((label_index[f], loops, get))
+            self._box_views.append(view_of[view])
             axes_of[b] = axes
 
         holders: dict[int, set[int]] = {}
@@ -274,15 +281,18 @@ class Contraction:
         ring = interp.ring
         add, mul = ring.add, ring.mul
         tensors = [interp.tensor(f).entries for f in self._labels]
-        nodes: list[Mapping[tuple[int, ...], Any] | None] = []
-        for label, loops, get in self._boxes:
+        views = []
+        for label, loops, get in self._views:
             entries = tensors[label]
             if loops:
                 entries = {get(idx): v for idx, v in entries.items()
                            if all(idx[p] == idx[q] for p, q in loops)}
             elif get is not None:
                 entries = {get(idx): v for idx, v in entries.items()}
-            nodes.append(entries)
+            views.append(entries)
+        # No step mutates a node's dict, so boxes may share one.
+        nodes: list[Mapping[tuple[int, ...], Any] | None] = [
+            views[v] for v in self._box_views]
         for i1, i2, get1, get2, get_out in self._steps:
             e1 = nodes[i1]
             nodes[i1] = None
@@ -587,11 +597,11 @@ def find_witness(n: Diagram, m: Diagram, dims: Mapping[ObjectVar, int] | int,
     """Search random interpretations for one giving ``n`` and ``m``
     different values.
 
-    Every trial has the same dimensions, so the :class:`Contraction` of
-    each diagram is planned once, at the first trial, and run on every
-    trial.  Every candidate it finds is re-checked with the independent
-    sweep evaluator before it is reported, and the reported values are
-    the sweep's.  Values are compared with ``ring.eq``, so over floats
+    Every trial has the same dimensions, so the matrix shapes are
+    checked and the :class:`Contraction` of each diagram is planned
+    once, at the first trial, and run on every trial.  Every candidate
+    it finds is re-checked with the independent sweep evaluator before
+    it is reported, and the reported values are the sweep's.  Values are compared with ``ring.eq``, so over floats
     the ring's tolerance decides.  On an exact ring the two evaluators
     must agree.
     """
@@ -600,9 +610,9 @@ def find_witness(n: Diagram, m: Diagram, dims: Mapping[ObjectVar, int] | int,
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
         interp = random_interpretation(sig, dims, ring, trial_seed)
-        _check_shapes(n, interp)
-        _check_shapes(m, interp)
         if plans is None:
+            _check_shapes(n, interp)
+            _check_shapes(m, interp)
             plans = Contraction(n, interp.space), Contraction(m, interp.space)
         va, vb = plans[0].run(interp), plans[1].run(interp)
         if ring.eq(va, vb):

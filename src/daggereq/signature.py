@@ -128,6 +128,15 @@ class MorphismVar:
     def display_name(self) -> str:
         return self.name + DAGGER_MARK if self.daggered else self.name
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.dom, self.cod, self.daggered))
+
+    def __hash__(self) -> int:
+        # The generated hash's value, computed once: morphism variables
+        # key every matrix lookup, and their sorts are nested tuples.
+        return self._hash
+
     def dagger(self) -> MorphismVar:
         return MorphismVar(self.name, self.cod, self.dom, not self.daggered)
 

@@ -2,16 +2,19 @@
 
 The isomorphism oracle here deliberately shares no code with the
 library's search: it tries every box permutation and checks the
-definition directly.
+definition directly.  ``code_classes_all_roots`` is the canonical-code
+scan without orbit pruning, which walks every candidate root.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from daggereq import (
     Diagram,
+    MorphismVar,
     ObjectVar,
     Signature,
     Sort,
@@ -19,6 +22,7 @@ from daggereq import (
     declare_morphism,
 )
 from daggereq import terms as tm
+from daggereq.diagram import _walk
 
 
 def brute_force_isos(n: Diagram, m: Diagram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -54,6 +58,36 @@ def brute_force_isos(n: Diagram, m: Diagram) -> list[tuple[tuple[int, ...], tupl
     return found
 
 
+def code_classes_all_roots(d: Diagram) -> dict[tuple, list[tuple[tuple[int, ...], ...]]]:
+    """The components of ``d`` grouped by canonical code, each given by
+    its walks from all of its canonical roots, in root order.
+
+    Walks every root with the component's rarest label to the end (or
+    until its code exceeds the least so far), one walk per candidate.
+    """
+    keys = [str(f) for f in d.box_labels]
+    classes: dict[tuple, list[tuple[tuple[int, ...], ...]]] = {}
+    seen: set[int] = set()
+    for b in range(d.n_boxes):
+        if b in seen:
+            continue
+        _, boxes = _walk(d, keys, b)
+        seen.update(boxes)
+        counts = Counter(keys[c] for c in boxes)
+        rarest = min(counts, key=lambda key: (counts[key], key))
+        best, walks = None, []
+        for root in [c for c in boxes if keys[c] == rarest]:
+            found = _walk(d, keys, root, best)
+            if found is None:
+                continue
+            code, walk = found
+            if code != best:
+                best, walks = code, []
+            walks.append(walk)
+        classes.setdefault(best, []).append(tuple(walks))
+    return classes
+
+
 def gen_signature() -> Signature:
     """Star-free signature with assorted arities for random diagrams."""
     A, B = ObjectVar("A"), ObjectVar("B")
@@ -79,6 +113,42 @@ def starred_signature() -> Signature:
     sig = declare_morphism(
         sig, "u", Sort.unit(), Sort((SignedObject(A), SignedObject(B, True))))
     return sig
+
+
+def necklace_signature() -> Signature:
+    """Endomorphisms ``a``, ``b``, ``c`` of ``X`` for cycles, and
+    ``t : X x X -> X x X`` for tori."""
+    X = ObjectVar("X")
+    sig = Signature("traced-monoidal", (X,))
+    for name in "abc":
+        sig = declare_morphism(sig, name, Sort.of(X), Sort.of(X))
+    return declare_morphism(sig, "t", Sort.of(X, X), Sort.of(X, X))
+
+
+def word_cycle(labels: list[MorphismVar]) -> Diagram:
+    """One cycle of endomorphism boxes: box ``i`` feeds box ``i + 1``."""
+    n = len(labels)
+    return Diagram(tuple(f.cod.factors[0].base for f in labels), tuple(labels),
+                   tuple((i,) for i in range(n)),
+                   tuple(((i + 1) % n,) for i in range(n)))
+
+
+def torus(t: MorphismVar, rows: int, cols: int) -> Diagram:
+    """A rows x cols grid of ``t`` boxes wrapped around both ways.
+
+    Output 0 of each box feeds input 0 of its right neighbour and
+    output 1 input 1 of the one below, so the translations are all its
+    automorphisms: rows * cols of them, from two generators.
+    """
+    n = rows * cols
+    obj = t.cod.factors[0].base
+    return Diagram(
+        (obj,) * 2 * n, (t,) * n,
+        tuple((2 * (r * cols + (c - 1) % cols),
+               2 * (((r - 1) % rows) * cols + c) + 1)
+              for r in range(rows) for c in range(cols)),
+        tuple((2 * b, 2 * b + 1) for b in range(n)),
+    )
 
 
 def random_simple_diagram(rng: random.Random, sig: Signature,

@@ -21,6 +21,7 @@ from daggereq import (
     parse_signature,
     parse_term,
 )
+from daggereq import diagram
 from daggereq.signature import int_translate
 
 import genutil
@@ -327,7 +328,8 @@ def _loops(*words: str) -> str:
     (_loops(*["ab"] * 12), _loops(*["ba"] * 12), 479001600),
     (_loops("a" * 200), _loops("a" * 200), 200),
     (_loops(*["ab"] * 6, *["aa"] * 3, *["bb"] * 3), _loops(*["ab"] * 12), 0),
-], ids=["12-copies", "200-box-cycle", "unequal-12-copies"])
+    (_loops("ab" * 100), _loops("ba" * 100), 100),
+], ids=["12-copies", "200-box-cycle", "unequal-12-copies", "200-box-word-cycle"])
 def test_decide_equal_counts_without_listing_isomorphisms(pare, t1, t2, count):
     sig = pare[0]
     res = decide_equal(parse_term(t1, sig), parse_term(t2, sig), sig)
@@ -337,3 +339,82 @@ def test_decide_equal_counts_without_listing_isomorphisms(pare, t1, t2, count):
         assert res.isomorphism.verify(res.diagram_a, res.diagram_b)
     else:
         assert res.isomorphism is None
+
+
+# -- orbit-pruned canonical roots ----------------------------------------
+
+def _symmetric_part(rng: random.Random, max_boxes: int):
+    """A word cycle, a mixed-label necklace, a torus or a random diagram,
+    with at most ``max_boxes`` boxes."""
+    sig = genutil.necklace_signature()
+    a, b, c, t = sig.base_morphisms
+    kind = rng.choice(["word", "necklace", "torus", "random"])
+    if kind == "word":
+        period = [rng.choice([a, b, a.dagger()]) for _ in range(rng.randint(1, 3))]
+        return genutil.word_cycle(period * rng.randint(1, max_boxes // len(period)))
+    if kind == "necklace":
+        return genutil.word_cycle([rng.choice([a, b, c, c.dagger()])
+                                   for _ in range(rng.randint(1, max_boxes))])
+    if kind == "torus":
+        rows = rng.randint(1, max(1, max_boxes // 2))
+        return genutil.torus(t, rows, rng.randint(1, max_boxes // rows))
+    return genutil.random_simple_diagram(rng, genutil.gen_signature(),
+                                         max_boxes=min(4, max_boxes))
+
+
+def _rotations(word: list) -> int:
+    return sum(word[r:] + word[:r] == word for r in range(len(word)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_orbit_pruned_classes_match_the_all_roots_scan(seed):
+    rng = random.Random(seed)
+    parts = [_symmetric_part(rng, 24) for _ in range(rng.randint(1, 3))]
+    parts += parts[:rng.randint(0, len(parts))]
+    d = genutil.permuted_copy(genutil.disjoint_union(*parts), rng)
+    got = diagram._code_classes(d)
+    want = genutil.code_classes_all_roots(d)
+    assert list(got) == list(want)
+    for code, comps in want.items():
+        assert got[code] == [(walks[0], tuple(w[0] for w in walks))
+                             for walks in comps]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_symmetric_components_count_their_rotations(seed):
+    rng = random.Random(seed)
+    a, b, c, t = genutil.necklace_signature().base_morphisms
+    period = [rng.choice([a, b, c]) for _ in range(rng.randint(1, 4))]
+    word = period * rng.randint(1, 30)
+    d = genutil.word_cycle(word)
+    assert iso_count(d, genutil.permuted_copy(d, rng)) == _rotations(word)
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    grid = genutil.torus(t, rows, cols)
+    assert iso_count(grid, genutil.permuted_copy(grid, rng)) == rows * cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_find_isos_on_symmetric_diagrams_agrees_with_brute_force(seed):
+    rng = random.Random(seed)
+    n = _symmetric_part(rng, 7)
+    if n.n_boxes <= 3 and rng.random() < 0.5:
+        n = genutil.disjoint_union(n, n)
+    m = genutil.permuted_copy(n, rng)
+    isos = find_isos(n, m)
+    assert ([(iso.box_map, iso.wire_map) for iso in isos]
+            == sorted(genutil.brute_force_isos(n, m)))
+    assert iso_count(n, m) == len(isos)
+
+
+def test_a_1000_box_cycle_is_counted_in_a_few_walks(monkeypatch):
+    a = genutil.necklace_signature().base_morphisms[0]
+    d = genutil.word_cycle([a] * 1000)
+    walks = []
+    walk = diagram._walk
+    monkeypatch.setattr(diagram, "_walk",
+                        lambda *args: walks.append(args[2]) or walk(*args))
+    assert iso_count(d, genutil.permuted_copy(d, random.Random(1))) == 1000
+    assert len(walks) <= 6

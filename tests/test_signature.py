@@ -204,3 +204,12 @@ def test_int_translate_preserves_port_multisets(dom, cod):
     assert list(new.dom.factors[: len(kept_dom)]) == kept_dom
     kept_cod = [sf for sf in cod if not sf.starred]
     assert list(new.cod.factors[len(new.cod) - len(kept_cod):]) == kept_cod
+
+
+def test_morphism_hash_is_the_field_tuple_hash():
+    f = MorphismVar("f", Sort.of(A, B), Sort((SignedObject(C, True),)))
+    assert hash(f) == hash((f.name, f.dom, f.cod, f.daggered))
+    g = f.dagger().dagger()
+    assert g is not f
+    assert g == f and hash(g) == hash(f)
+    assert hash(f.dagger()) == hash(("f", f.cod, f.dom, True))
