@@ -68,30 +68,16 @@ def _load_signature(path: str) -> Signature:
 
 def _load_terms(args, names: list[str]) -> tuple[Signature, list[tm.Term]]:
     sig = _load_signature(args.sig) if args.sig else None
-    parsed: list[tuple[str, str | None]] = []
-    for name in names:
-        text = Path(name).read_text()
-        use = None
-        for raw in text.splitlines():
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                if stripped.startswith("use "):
-                    use = stripped[4:].strip()
-                break
-        parsed.append((text, use))
-    if sig is None:
-        for name, (_, use) in zip(names, parsed):
-            if use:
-                sig = _load_signature(str(Path(name).parent / use))
-                break
+    texts = [Path(name).read_text() for name in names]
+    for name, text in zip(names, texts):
+        code = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+        first = next((line for line in code if line), "")
+        if sig is None and first.startswith("use "):
+            sig = _load_signature(str(Path(name).parent / first[4:].strip()))
     if sig is None:
         raise DaggereqError(
             "no signature: pass --sig or put a 'use PATH' line in a term file")
-    out = []
-    for text, _ in parsed:
-        term, _ = tm.parse_term_file(text, sig)
-        out.append(term)
-    return sig, out
+    return sig, [tm.parse_term_file(text, sig)[0] for text in texts]
 
 
 def _parse_dims(text: str | None, sig: Signature) -> dict:
@@ -307,11 +293,11 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         return args.func(args)
-    except DaggereqError as exc:
+    except (DaggereqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:  # only the parser recurses, once per bracket
+        print("error: term nested too deeply", file=sys.stderr)
         return 2
 
 

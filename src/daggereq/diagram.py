@@ -34,7 +34,6 @@ from .signature import (
     MorphismVar,
     ObjectVar,
     Signature,
-    TranslationTable,
     int_translate,
 )
 
@@ -196,58 +195,53 @@ class _Wiring:
 
 
 class _Builder:
-    def __init__(self, sig: Signature, table: TranslationTable):
+    def __init__(self, sig: Signature):
         self.sig = sig
-        self.table = table
+        self.table = int_translate(sig)[1]
         self.wiring = _Wiring()
         self.box_labels: list[MorphismVar] = []
         self.box_dom_nodes: list[list[int]] = []
         self.box_cod_nodes: list[list[int]] = []
 
-    def build(self, t: tm.Term) -> tuple[list[int], list[int]]:
-        """Compile ``t``; return its boundary ends (dom list, cod list)."""
-        if isinstance(t, tm.Var):
-            return self.box(self.sig.morphism(t.var_name))
-        if isinstance(t, tm.Id):
-            ends = [self.wiring.new(sf.base) for sf in t.sort]
-            return ends, list(ends)
+    def build(self, t: tm.Term, args: list) -> tuple:
+        """Type and compile the node ``t`` from its children's values,
+        each ``((dom, cod), dom ends, cod ends, first box)``: the sorts by
+        the typing rule, the boundary wire ends, and the index of the
+        first box the subterm added."""
+        sorts = tm._sorts(self.sig, t, [a[0] for a in args])
+        first_box = args[0][3] if args else len(self.box_labels)
         if isinstance(t, tm.Compose):
-            dom1, cod1 = self.build(t.first)
-            dom2, cod2 = self.build(t.then)
-            if len(cod1) != len(dom2):
-                raise DiagramError("composition arity mismatch")
+            (_, dom, cod1, _), (_, dom2, cod, _) = args
             for a, b in zip(cod1, dom2):
                 self.wiring.union(a, b)
-            return dom1, cod2
-        if isinstance(t, tm.Tensor):
-            dom1, cod1 = self.build(t.left)
-            dom2, cod2 = self.build(t.right)
-            return dom1 + dom2, cod1 + cod2
-        if isinstance(t, tm.Symmetry):
+        elif isinstance(t, tm.Id):
+            dom = [self.wiring.new(sf.base) for sf in t.sort]
+            cod = list(dom)
+        elif isinstance(t, tm.Symmetry):
             left = [self.wiring.new(sf.base) for sf in t.left]
             right = [self.wiring.new(sf.base) for sf in t.right]
-            return left + right, right + left
-        if isinstance(t, tm.Trace):
-            dom, cod = self.build(t.body)
+            dom, cod = left + right, right + left
+        elif isinstance(t, tm.Var):
+            dom, cod = self.box(self.sig.morphism(t.var_name))
+        elif isinstance(t, tm.Tensor):
+            (_, dom1, cod1, _), (_, dom2, cod2, _) = args
+            dom, cod = dom1 + dom2, cod1 + cod2
+        elif isinstance(t, tm.Trace):
+            (_, dom, cod, _), = args
             k = len(t.over)
             for a, b in zip(cod[len(cod) - k:], dom[len(dom) - k:]):
                 self.wiring.union(a, b)
-            return dom[: len(dom) - k], cod[: len(cod) - k]
-        if isinstance(t, tm.Dagger):
-            first_new_box = len(self.box_labels)
-            dom, cod = self.build(t.body)
-            for b in range(first_new_box, len(self.box_labels)):
+            dom, cod = dom[: len(dom) - k], cod[: len(cod) - k]
+        elif isinstance(t, tm.Dagger):
+            (_, cod, dom, _), = args
+            for b in range(first_box, len(self.box_labels)):
                 self.box_labels[b] = self.box_labels[b].dagger()
                 self.box_dom_nodes[b], self.box_cod_nodes[b] = (
                     self.box_cod_nodes[b], self.box_dom_nodes[b])
-            return cod, dom
-        if isinstance(t, tm.Unit):
+        else:  # a unit or counit: one wire, bent
             n = self.wiring.new(t.obj.base)
-            return [], [n, n]
-        if isinstance(t, tm.Counit):
-            n = self.wiring.new(t.obj.base)
-            return [n, n], []
-        raise TypeError(f"not a term: {t!r}")
+            dom, cod = ([], [n, n]) if isinstance(t, tm.Unit) else ([n, n], [])
+        return sorts, dom, cod, first_box
 
     def box(self, f: MorphismVar) -> tuple[list[int], list[int]]:
         g = self.table.variable(f)
@@ -315,13 +309,10 @@ def compile_term(t: tm.Term, sig: Signature) -> Diagram:
     labels in the result are the star-free translations of the
     signature's morphism variables.
     """
-    dom, cod = tm.type_check(t, sig)
+    builder = _Builder(sig)
+    (dom, cod), _, _, _ = tm._fold(t, builder.build)
     if not (dom.is_unit and cod.is_unit):
         raise TypeCheckError(f"term is not closed: {dom} -> {cod}")
-    _, table = int_translate(sig)
-    builder = _Builder(sig, table)
-    boundary = builder.build(t)
-    assert boundary == ([], [])
     return builder.finalize()
 
 

@@ -8,9 +8,11 @@ duals.  ``;`` reads left to right: ``f ; g`` applies ``f`` first.
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections import deque
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Callable, NamedTuple, Union
 
 from .errors import ParseError, TypeCheckError
 from .signature import (
@@ -75,55 +77,83 @@ class Counit:
 Term = Union[Var, Id, Compose, Tensor, Symmetry, Trace, Dagger, Unit, Counit]
 
 
+# -- the walk ----------------------------------------------------------
+
+def _fold(t: Term, rule: Callable[[Term, list], Any]) -> Any:
+    """The value of ``t`` bottom-up: ``rule(node, values)`` gets the
+    values of the node's children, left before right.
+
+    The only walk over terms and the only code that knows a node's
+    children.  It keeps its own stacks, so depth is limited by memory.
+    """
+    todo: list = [t]
+    values: list = []
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:  # the children of node[0] have their values
+            node, arity = node
+            args = values[-arity:]
+            del values[-arity:]
+            values.append(rule(node, args))
+        elif isinstance(node, Compose):
+            todo += ((node, 2), node.then, node.first)
+        elif isinstance(node, Tensor):
+            todo += ((node, 2), node.right, node.left)
+        elif isinstance(node, (Trace, Dagger)):
+            todo += ((node, 1), node.body)
+        else:
+            values.append(rule(node, ()))
+    return values[0]
+
+
 # -- type checking -----------------------------------------------------
 
-def type_check(t: Term, sig: Signature) -> tuple[Sort, Sort]:
-    """Return ``(dom, cod)`` of ``t`` or raise :class:`TypeCheckError`."""
-    if isinstance(t, Var):
-        if not sig.has_morphism(t.var_name):
-            raise TypeCheckError(f"unknown morphism {t.var_name!r}")
-        f = sig.morphism(t.var_name)
-        return f.dom, f.cod
-    if isinstance(t, Id):
-        return t.sort, t.sort
+def _sorts(sig: Signature, t: Term,
+           args: list[tuple[Sort, Sort]]) -> tuple[Sort, Sort]:
+    """The typing rule: ``(dom, cod)`` of ``t`` from its children's."""
     if isinstance(t, Compose):
-        dom1, cod1 = type_check(t.first, sig)
-        dom2, cod2 = type_check(t.then, sig)
+        (dom1, cod1), (dom2, cod2) = args
         if cod1 != dom2:
             raise TypeCheckError(
                 f"sort mismatch in composition: {cod1} composed into {dom2}"
             )
         return dom1, cod2
-    if isinstance(t, Tensor):
-        dom1, cod1 = type_check(t.left, sig)
-        dom2, cod2 = type_check(t.right, sig)
-        return dom1.tensor(dom2), cod1.tensor(cod2)
+    if isinstance(t, Id):
+        return t.sort, t.sort
     if isinstance(t, Symmetry):
         return t.left.tensor(t.right), t.right.tensor(t.left)
+    if isinstance(t, Var):
+        if not sig.has_morphism(t.var_name):
+            raise TypeCheckError(f"unknown morphism {t.var_name!r}")
+        f = sig.morphism(t.var_name)
+        return f.dom, f.cod
+    if isinstance(t, Tensor):
+        (dom1, cod1), (dom2, cod2) = args
+        return dom1.tensor(dom2), cod1.tensor(cod2)
     if isinstance(t, Trace):
-        dom, cod = type_check(t.body, sig)
+        (dom, cod), = args
         k = len(t.over)
-        if k and (len(dom) < k or dom.factors[-k:] != t.over.factors):
-            raise TypeCheckError(
-                f"trace over {t.over}: domain {dom} does not end with it"
-            )
-        if k and (len(cod) < k or cod.factors[-k:] != t.over.factors):
-            raise TypeCheckError(
-                f"trace over {t.over}: codomain {cod} does not end with it"
-            )
+        for side, s in (("domain", dom), ("codomain", cod)):
+            if k and (len(s) < k or s.factors[-k:] != t.over.factors):
+                raise TypeCheckError(
+                    f"trace over {t.over}: {side} {s} does not end with it")
         return Sort(dom.factors[: len(dom) - k]), Sort(cod.factors[: len(cod) - k])
     if isinstance(t, Dagger):
-        dom, cod = type_check(t.body, sig)
+        (dom, cod), = args
         return cod, dom
+    if not isinstance(t, (Unit, Counit)):
+        raise TypeError(f"not a term: {t!r}")
+    if sig.kind == TRACED_MONOIDAL:
+        word = "eta" if isinstance(t, Unit) else "eps"
+        raise TypeCheckError(f"{word} is not available in a traced monoidal signature")
     if isinstance(t, Unit):
-        if sig.kind == TRACED_MONOIDAL:
-            raise TypeCheckError("eta is not available in a traced monoidal signature")
         return Sort.unit(), Sort((t.obj.star(), t.obj))
-    if isinstance(t, Counit):
-        if sig.kind == TRACED_MONOIDAL:
-            raise TypeCheckError("eps is not available in a traced monoidal signature")
-        return Sort((t.obj, t.obj.star())), Sort.unit()
-    raise TypeError(f"not a term: {t!r}")
+    return Sort((t.obj, t.obj.star())), Sort.unit()
+
+
+def type_check(t: Term, sig: Signature) -> tuple[Sort, Sort]:
+    """Return ``(dom, cod)`` of ``t`` or raise :class:`TypeCheckError`."""
+    return _fold(t, lambda node, args: _sorts(sig, node, args))
 
 
 def close_term(t: Term, sig: Signature,
@@ -133,19 +163,7 @@ def close_term(t: Term, sig: Signature,
     ``in : I -> X`` and ``out : Y -> I`` are fresh morphism variables
     added to the returned signature.  Closed terms are returned as is.
     """
-    dom, cod = type_check(t, sig)
-    if dom.is_unit and cod.is_unit:
-        return t, sig
-    name_in, name_out = _fresh_pair(sig, prefix)
-    out_sig = sig
-    closed = t
-    if not dom.is_unit:
-        out_sig = declare_morphism(out_sig, name_in, Sort.unit(), dom)
-        closed = Compose(Var(name_in), closed)
-    if not cod.is_unit:
-        out_sig = declare_morphism(out_sig, name_out, cod, Sort.unit())
-        closed = Compose(closed, Var(name_out))
-    return closed, out_sig
+    return _close([t], sig, prefix)
 
 
 def close_pair(t1: Term, t2: Term, sig: Signature,
@@ -155,35 +173,34 @@ def close_pair(t1: Term, t2: Term, sig: Signature,
     Sharing matters: the closures must use equal labels on both sides,
     otherwise the closed terms could never be equal.
     """
-    dom1, cod1 = type_check(t1, sig)
-    dom2, cod2 = type_check(t2, sig)
-    if (dom1, cod1) != (dom2, cod2):
-        raise TypeCheckError(
-            f"cannot compare {dom1} -> {cod1} with {dom2} -> {cod2}"
-        )
-    if dom1.is_unit and cod1.is_unit:
-        return t1, t2, sig
-    name_in, name_out = _fresh_pair(sig, prefix)
-    out_sig = sig
-    if not dom1.is_unit:
-        out_sig = declare_morphism(out_sig, name_in, Sort.unit(), dom1)
-        t1, t2 = Compose(Var(name_in), t1), Compose(Var(name_in), t2)
-    if not cod1.is_unit:
-        out_sig = declare_morphism(out_sig, name_out, cod1, Sort.unit())
-        t1, t2 = Compose(t1, Var(name_out)), Compose(t2, Var(name_out))
-    return t1, t2, out_sig
+    return _close([t1, t2], sig, prefix)
 
 
-def _fresh_pair(sig: Signature, prefix: str) -> tuple[str, str]:
-    k = 0
-    while True:
+def _close(ts: list[Term], sig: Signature, prefix: str) -> tuple:
+    """Close terms of one type as ``in ; t ; out`` with one shared pair
+    of fresh variables; return the closed terms, then the signature.
+    Closed terms come back as they are."""
+    (dom, cod), *others = [type_check(t, sig) for t in ts]
+    for dom2, cod2 in others:
+        if (dom, cod) != (dom2, cod2):
+            raise TypeCheckError(
+                f"cannot compare {dom} -> {cod} with {dom2} -> {cod2}"
+            )
+    if dom.is_unit and cod.is_unit:
+        return (*ts, sig)
+    for k in itertools.count():
         suffix = str(k) if k else ""
-        name_in = f"{prefix}_in{suffix}"
-        name_out = f"{prefix}_out{suffix}"
-        if not (sig.has_morphism(name_in) or sig.has_morphism(name_out)
-                or sig.has_object(name_in) or sig.has_object(name_out)):
-            return name_in, name_out
-        k += 1
+        name_in, name_out = f"{prefix}_in{suffix}", f"{prefix}_out{suffix}"
+        if not any(sig.has_morphism(name) or sig.has_object(name)
+                   for name in (name_in, name_out)):
+            break
+    if not dom.is_unit:
+        sig = declare_morphism(sig, name_in, Sort.unit(), dom)
+        ts = [Compose(Var(name_in), t) for t in ts]
+    if not cod.is_unit:
+        sig = declare_morphism(sig, name_out, cod, Sort.unit())
+        ts = [Compose(t, Var(name_out)) for t in ts]
+    return (*ts, sig)
 
 
 # -- printing ----------------------------------------------------------
@@ -191,48 +208,54 @@ def _fresh_pair(sig: Signature, prefix: str) -> tuple[str, str]:
 _COMPOSE, _TENSOR, _ATOM = 1, 2, 3
 
 
-def _level(t: Term) -> int:
-    if isinstance(t, Compose):
-        return _COMPOSE
-    if isinstance(t, Tensor):
-        return _TENSOR
-    return _ATOM
-
-
 def term_to_text(t: Term) -> str:
     """Print ``t``; ``parse_term`` reads the result back verbatim."""
-    return _render(t, 0)
+    return "".join(_fold(t, _text)[1])
 
 
-def _render(t: Term, context: int) -> str:
-    level = _level(t)
+def _text(t: Term, args: list[tuple[int, deque[str]]]) -> tuple[int, deque[str]]:
+    """``(level, pieces)`` of ``t`` from its children's.  A child goes
+    in parentheses when its level is below its slot: the parent's level
+    on the left, one more on the right.  Two children join into the
+    longer one's pieces, so printing is O(n log n) however terms nest.
+    """
+    if isinstance(t, (Compose, Tensor)):
+        level, sep = (_COMPOSE, " ; ") if isinstance(t, Compose) else (_TENSOR, " x ")
+        (left_level, left), (right_level, right) = args
+        for pieces, below in ((left, left_level < level), (right, right_level <= level)):
+            if below:
+                pieces.appendleft("(")
+                pieces.append(")")
+        if len(left) < len(right):
+            right.appendleft(sep)
+            right.extendleft(reversed(left))
+            return level, right
+        left.append(sep)
+        left.extend(right)
+        return level, left
+    if isinstance(t, (Trace, Dagger)):
+        (_, body), = args
+        body.appendleft(f"tr[{t.over}](" if isinstance(t, Trace) else "dagger(")
+        body.append(")")
+        return _ATOM, body
     if isinstance(t, Var):
-        body = t.var_name
+        text = t.var_name
     elif isinstance(t, Id):
-        body = f"id[{t.sort}]"
-    elif isinstance(t, Compose):
-        body = f"{_render(t.first, _COMPOSE)} ; {_render(t.then, _COMPOSE + 1)}"
-    elif isinstance(t, Tensor):
-        body = f"{_render(t.left, _TENSOR)} x {_render(t.right, _TENSOR + 1)}"
+        text = f"id[{t.sort}]"
     elif isinstance(t, Symmetry):
-        body = f"sym[{t.left},{t.right}]"
-    elif isinstance(t, Trace):
-        body = f"tr[{t.over}]({_render(t.body, 0)})"
-    elif isinstance(t, Dagger):
-        body = f"dagger({_render(t.body, 0)})"
+        text = f"sym[{t.left},{t.right}]"
     elif isinstance(t, Unit):
-        body = f"eta[{t.obj}]"
+        text = f"eta[{t.obj}]"
     elif isinstance(t, Counit):
-        body = f"eps[{t.obj}]"
+        text = f"eps[{t.obj}]"
     else:
         raise TypeError(f"not a term: {t!r}")
-    return f"({body})" if level < context else body
+    return _ATOM, deque([text])
 
 
 # -- parsing -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -256,10 +279,8 @@ def _tokenize(src: str) -> list[_Token]:
             raise ParseError(f"unexpected character {src[pos]!r}", line, col)
         text = m.group(0)
         kind = m.lastgroup or ""
-        if kind == "name":
-            tokens.append(_Token("name", text, line, col))
-        elif kind == "punct":
-            tokens.append(_Token(text, text, line, col))
+        if kind in ("name", "punct"):
+            tokens.append(_Token("name" if kind == "name" else text, text, line, col))
         newlines = text.count("\n")
         if newlines:
             line += newlines

@@ -4,6 +4,9 @@ The isomorphism oracle here deliberately shares no code with the
 library's search: it tries every box permutation and checks the
 definition directly.  ``code_classes_all_roots`` is the canonical-code
 scan without orbit pruning, which walks every candidate root.
+``type_check_recursive`` and ``term_to_text_recursive`` are the term
+walks written by plain recursion, the oracles for the library's single
+explicit-stack walk.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from collections import Counter
 
 from daggereq import (
     Diagram,
+    TypeCheckError,
     MorphismVar,
     ObjectVar,
     Signature,
@@ -22,6 +26,7 @@ from daggereq import (
     declare_morphism,
 )
 from daggereq import terms as tm
+from daggereq.signature import TRACED_MONOIDAL
 from daggereq.diagram import _walk
 
 
@@ -310,3 +315,122 @@ def rebracket(t: tm.Term, rng: random.Random, sig: Signature) -> tm.Term:
         return t
 
     return go(t)
+
+
+def type_check_recursive(t: tm.Term, sig: Signature) -> tuple[Sort, Sort]:
+    """``(dom, cod)`` of ``t`` or :class:`TypeCheckError`, by recursion."""
+    if isinstance(t, tm.Var):
+        if not sig.has_morphism(t.var_name):
+            raise TypeCheckError(f"unknown morphism {t.var_name!r}")
+        f = sig.morphism(t.var_name)
+        return f.dom, f.cod
+    if isinstance(t, tm.Id):
+        return t.sort, t.sort
+    if isinstance(t, tm.Compose):
+        dom1, cod1 = type_check_recursive(t.first, sig)
+        dom2, cod2 = type_check_recursive(t.then, sig)
+        if cod1 != dom2:
+            raise TypeCheckError(
+                f"sort mismatch in composition: {cod1} composed into {dom2}"
+            )
+        return dom1, cod2
+    if isinstance(t, tm.Tensor):
+        dom1, cod1 = type_check_recursive(t.left, sig)
+        dom2, cod2 = type_check_recursive(t.right, sig)
+        return dom1.tensor(dom2), cod1.tensor(cod2)
+    if isinstance(t, tm.Symmetry):
+        return t.left.tensor(t.right), t.right.tensor(t.left)
+    if isinstance(t, tm.Trace):
+        dom, cod = type_check_recursive(t.body, sig)
+        k = len(t.over)
+        if k and (len(dom) < k or dom.factors[-k:] != t.over.factors):
+            raise TypeCheckError(
+                f"trace over {t.over}: domain {dom} does not end with it"
+            )
+        if k and (len(cod) < k or cod.factors[-k:] != t.over.factors):
+            raise TypeCheckError(
+                f"trace over {t.over}: codomain {cod} does not end with it"
+            )
+        return Sort(dom.factors[: len(dom) - k]), Sort(cod.factors[: len(cod) - k])
+    if isinstance(t, tm.Dagger):
+        dom, cod = type_check_recursive(t.body, sig)
+        return cod, dom
+    if isinstance(t, tm.Unit):
+        if sig.kind == TRACED_MONOIDAL:
+            raise TypeCheckError("eta is not available in a traced monoidal signature")
+        return Sort.unit(), Sort((t.obj.star(), t.obj))
+    if isinstance(t, tm.Counit):
+        if sig.kind == TRACED_MONOIDAL:
+            raise TypeCheckError("eps is not available in a traced monoidal signature")
+        return Sort((t.obj, t.obj.star())), Sort.unit()
+    raise TypeError(f"not a term: {t!r}")
+
+
+_COMPOSE, _TENSOR, _ATOM = 1, 2, 3
+
+
+def _level(t: tm.Term) -> int:
+    if isinstance(t, tm.Compose):
+        return _COMPOSE
+    if isinstance(t, tm.Tensor):
+        return _TENSOR
+    return _ATOM
+
+
+def term_to_text_recursive(t: tm.Term, context: int = 0) -> str:
+    """Print ``t`` by recursion, in parentheses when its level is below
+    ``context``."""
+    level = _level(t)
+    if isinstance(t, tm.Var):
+        body = t.var_name
+    elif isinstance(t, tm.Id):
+        body = f"id[{t.sort}]"
+    elif isinstance(t, tm.Compose):
+        body = (f"{term_to_text_recursive(t.first, _COMPOSE)} ; "
+                f"{term_to_text_recursive(t.then, _COMPOSE + 1)}")
+    elif isinstance(t, tm.Tensor):
+        body = (f"{term_to_text_recursive(t.left, _TENSOR)} x "
+                f"{term_to_text_recursive(t.right, _TENSOR + 1)}")
+    elif isinstance(t, tm.Symmetry):
+        body = f"sym[{t.left},{t.right}]"
+    elif isinstance(t, tm.Trace):
+        body = f"tr[{t.over}]({term_to_text_recursive(t.body, 0)})"
+    elif isinstance(t, tm.Dagger):
+        body = f"dagger({term_to_text_recursive(t.body, 0)})"
+    elif isinstance(t, tm.Unit):
+        body = f"eta[{t.obj}]"
+    elif isinstance(t, tm.Counit):
+        body = f"eps[{t.obj}]"
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return f"({body})" if level < context else body
+
+
+def random_untyped_term(rng: random.Random, sig: Signature, steps: int = 8) -> tm.Term:
+    """A random term over ``sig`` that is often ill-typed.
+
+    Composites pick their parts with no regard for sorts, traces run
+    over a random sort, and the leaves include an undeclared variable
+    and, in a traced signature, units and counits it does not allow.
+    """
+
+    def random_sort(max_len: int = 2) -> Sort:
+        return Sort(tuple(SignedObject(rng.choice(sig.objects), rng.random() < 0.3)
+                          for _ in range(rng.randint(0, max_len))))
+
+    obj = SignedObject(rng.choice(sig.objects), rng.random() < 0.5)
+    pool: list[tm.Term] = [tm.Var(f.display_name) for f in sig.morphisms]
+    pool += [tm.Var("undeclared"), tm.Id(random_sort()), tm.Unit(obj), tm.Counit(obj),
+             tm.Symmetry(random_sort(1), random_sort(1))]
+    for _ in range(steps):
+        op = rng.choice(["compose", "compose", "tensor", "dagger", "trace"])
+        t, u = rng.choice(pool), rng.choice(pool)
+        if op == "compose":
+            pool.append(tm.Compose(t, u))
+        elif op == "tensor":
+            pool.append(tm.Tensor(t, u))
+        elif op == "dagger":
+            pool.append(tm.Dagger(t))
+        else:
+            pool.append(tm.Trace(random_sort(), t))
+    return pool[-1]

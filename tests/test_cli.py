@@ -1,23 +1,35 @@
+import contextlib
 import hashlib
+import io
 import json
+import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daggereq import (
+    Compose,
     GaussianIntegerRing,
+    TensorTerm,
+    Var,
     compile_term,
     denote,
     parse_diagram,
     parse_interpretation,
     parse_signature,
     parse_term,
+    signature_to_text,
+    term_to_text,
 )
 from daggereq.cli import main
 from daggereq.signature import int_translate
 
 from conftest import PARE_SIG, PARE_WORD_1, PARE_WORD_2, WORKED_M, WORKED_N, WORKED_SIG
+import genutil
 
 gauss = GaussianIntegerRing()
 
@@ -329,3 +341,76 @@ def test_the_parser_is_built_once():
     from daggereq.cli import _build_parser
 
     assert _build_parser() is _build_parser()
+
+
+def test_brackets_nested_past_the_stack_exit_two(tmp_path, capsys):
+    sig = write(tmp_path, "sig.txt", "object A\nmorphism h : A -> A\n")
+    deep = write(tmp_path, "deep.term", "tr[A](dagger(" * 400 + "h" + "))" * 400 + "\n")
+    assert main(["check", "--sig", sig, deep, deep]) == 2
+    assert capsys.readouterr().err == "error: term nested too deeply\n"
+
+
+def test_a_10k_layer_chain_checks_equal(tmp_path, capsys):
+    sig = write(tmp_path, "sig.txt", "object A\nobject B\nmorphism m : A x B -> B x A\n")
+    layers = ["id[B x A]", "sym[B,A] ; sym[A,B]"]
+
+    def chain(n):
+        return " ; ".join(["m"] + [layers[i % 2] for i in range(n)] + ["m†"])
+
+    a = write(tmp_path, "a.term", chain(10_000) + "\n")
+    b = write(tmp_path, "b.term", chain(5_000) + "\n")
+    assert main(["check", "--format", "json", "--sig", sig, a, b]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["structural_isomorphisms"] == record["semantic_isomorphisms"] == 1
+
+
+# Pieces of term syntax, right and wrong, that mutations splice in.
+_JUNK = ["(", ")", ";", " x ", "dagger(", "tr[A](", "tr[B* x C](", "eta[A]", "eps[B*]",
+         "id[A x B]", "sym[A,B*]", "*", "†", "f", "k†", "u", "nope", "[", "]", ",", "I",
+         "#", "\n", "use sig.sig\n", "x"]
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """Delete, insert or duplicate up to three random spans of ``text``."""
+    for _ in range(rng.randint(0, 3)):
+        i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + text[j:]
+        elif op == 1:
+            text = text[:i] + rng.choice(_JUNK) + text[i:]
+        else:
+            text = text[:i] + text[i:j] * 2 + text[j:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(["check", "iso-count", "poly"]))
+def test_mutated_term_files_exit_zero_one_or_two(seed, command):
+    # Random compact closed terms, some open, against an equal rewrite,
+    # an unequal one of the same type or another random term, then
+    # mangled: every outcome must be a verdict or an error message,
+    # never an escaped exception.
+    rng = random.Random(seed)
+    sig = genutil.starred_signature()
+    t = genutil.random_term(rng, sig, steps=rng.randint(1, 5))
+    u = rng.choice([
+        genutil.rebracket(t, rng, sig),
+        TensorTerm(genutil.rebracket(t, rng, sig), Compose(Var("u"), Var("u†"))),
+        genutil.random_term(rng, sig, steps=rng.randint(1, 5)),
+    ])
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "sig.sig").write_text(signature_to_text(sig))
+        names = []
+        for name, term in (("a.term", t), ("b.term", u)):
+            text = term_to_text(term)
+            if rng.random() < 0.5:
+                text = _mutate(text, rng)
+            (Path(tmp) / name).write_text("use sig.sig\n" + text + "\n")
+            names.append(str(Path(tmp) / name))
+        argv = [command, *names] + (["--trials", "2"] if command == "check" else [])
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue() == "" or err.getvalue().startswith("error: ")
