@@ -70,10 +70,8 @@ def _load_terms(args, names: list[str]) -> tuple[Signature, list[tm.Term]]:
     sig = _load_signature(args.sig) if args.sig else None
     texts = [Path(name).read_text() for name in names]
     for name, text in zip(names, texts):
-        code = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-        first = next((line for line in code if line), "")
-        if sig is None and first.startswith("use "):
-            sig = _load_signature(str(Path(name).parent / first[4:].strip()))
+        if sig is None and (path := tm.use_path(text)) is not None:
+            sig = _load_signature(str(Path(name).parent / path))
     if sig is None:
         raise DaggereqError(
             "no signature: pass --sig or put a 'use PATH' line in a term file")

@@ -291,15 +291,13 @@ class _Builder:
             tuple(wire_of[self.wiring.find(n)] for n in nodes)
             for nodes in self.box_cod_nodes
         )
-        d = Diagram(
+        return Diagram(
             tuple(self.wiring.label[r] for r in wire_roots),
             tuple(self.box_labels),
             box_inputs,
             box_outputs,
             tuple(sorted(trivial.items(), key=lambda item: item[0].name)),
         )
-        d.validate()
-        return d
 
 
 def compile_term(t: tm.Term, sig: Signature) -> Diagram:
@@ -307,7 +305,8 @@ def compile_term(t: tm.Term, sig: Signature) -> Diagram:
 
     The compact closed structure is eliminated on the fly, so box
     labels in the result are the star-free translations of the
-    signature's morphism variables.
+    signature's morphism variables.  The result is valid by
+    construction, so :meth:`Diagram.validate` is not run on it.
     """
     builder = _Builder(sig)
     (dom, cod), _, _, _ = tm._fold(t, builder.build)

@@ -360,6 +360,9 @@ class ConjPolynomialRing(ScalarRing):
     def from_int(self, n: int) -> ConjPolynomial:
         return ConjPolynomial.const(n)
 
+    def variable(self, box: int, conjugated: bool) -> ConjPolynomial:
+        return ConjPolynomial.variable(box, conjugated)
+
     def eq(self, a: ConjPolynomial, b: ConjPolynomial) -> bool:
         return a == b
 
@@ -402,6 +405,9 @@ class MultilinearRing(ScalarRing):
 
     def from_int(self, n: int) -> dict[int, int]:
         return {0: n}
+
+    def variable(self, box: int, conjugated: bool) -> dict[int, int]:
+        return {} if conjugated else {1 << box: 1}
 
 
 RINGS = {

@@ -31,6 +31,9 @@ monomial, each box variable once and unconjugated, is not one of them,
 so its coefficient survives unchanged.  Monomials of the quotient are
 bitmasks over M's boxes (:class:`~daggereq.scalars.MultilinearRing`),
 and a term that repeats a variable is dropped as soon as it appears.
+One builder, :func:`m_interpretation`, makes the interpretation in
+either ring: each ring supplies the variable of a box and of its
+conjugate, and the quotient's conjugate is zero.
 """
 
 from __future__ import annotations
@@ -406,100 +409,66 @@ def denote_naive(d: Diagram, interp: Interpretation) -> Any:
 
 # -- the polynomial interpretation of a reference diagram ---------------
 
-def _wire_basis(m: Diagram) -> tuple[dict[ObjectVar, int], dict[int, int]]:
-    """Each object's dimension, its number of wires in ``m``, and each
-    wire's position among the wires with its label."""
-    wires_of: dict[ObjectVar, list[int]] = {}
-    for w, a in enumerate(m.wire_labels):
-        wires_of.setdefault(a, []).append(w)
-    pos = {w: i for ws in wires_of.values() for i, w in enumerate(ws)}
-    return {a: len(ws) for a, ws in wires_of.items()}, pos
-
-
-def m_interpretation(m: Diagram) -> Interpretation:
+def m_interpretation(m: Diagram, ring: ScalarRing = ConjPolynomialRing()) -> Interpretation:
     """Interpret objects by the wires of ``m`` and boxes by variables.
 
-    The matrix of a variable ``f`` has one entry per ``f``-labeled box
-    of ``m`` (the variable of that box, at the box's wire positions)
-    plus one per ``f†``-labeled box (the conjugate variable, at the
-    transposed positions).
+    A box ``b`` labeled ``f`` puts ``ring.variable(b, False)`` into the
+    matrix of ``f`` at its wire positions and ``ring.variable(b, True)``
+    into that of ``f†`` at the transposed ones.  One builder serves both
+    rings: in the default one the result is a valid dagger
+    interpretation; in :class:`~daggereq.scalars.MultilinearRing` the
+    conjugate variables are zero and left out, and so is the matrix of
+    a daggered label that no box of ``m`` carries.
     """
     if not m.is_simple:
         raise InterpretationError("reference diagram must have no trivial cycles")
-    ring = ConjPolynomialRing()
-    space, pos = _wire_basis(m)
-    variables: set[MorphismVar] = set()
-    for f in m.box_labels:
-        variables.add(f)
-        variables.add(f.dagger())
-    for f in variables:
-        for sf in tuple(f.dom) + tuple(f.cod):
-            space.setdefault(sf.base, 0)
-
+    space: dict[ObjectVar, int] = {}
+    pos = []  # each wire's position among the wires with its label
+    for a in m.wire_labels:
+        pos.append(space.get(a, 0))
+        space[a] = pos[-1] + 1
     matrix: dict[MorphismVar, Tensor] = {}
-    for f in variables:
-        entries: dict[tuple[int, ...], ConjPolynomial] = {}
-        for b, lab in enumerate(m.box_labels):
-            if lab == f:
-                idx = tuple(pos[w] for w in m.box_outputs[b]) + tuple(
-                    pos[w] for w in m.box_inputs[b])
-                v = ConjPolynomial.variable(b)
-            elif lab == f.dagger():
-                idx = tuple(pos[w] for w in m.box_inputs[b]) + tuple(
-                    pos[w] for w in m.box_outputs[b])
-                v = ConjPolynomial.variable(b, conjugated=True)
-            else:
-                continue
-            entries[idx] = entries[idx] + v if idx in entries else v
-        matrix[f] = Tensor(
-            tuple(space[sf.base] for sf in f.cod),
-            tuple(space[sf.base] for sf in f.dom),
-            entries,
-        )
-    interp = Interpretation(ring, space, matrix)
-    interp.check()
-    return interp
+    dagger: dict[MorphismVar, MorphismVar] = {}
+    for b, f in enumerate(m.box_labels):
+        outs, ins = m.box_outputs[b], m.box_inputs[b]
+        if f not in matrix:
+            fd = dagger[f] = f.dagger()
+            dagger[fd] = f
+            cod = tuple(space[m.wire_labels[w]] for w in outs)
+            dom = tuple(space[m.wire_labels[w]] for w in ins)
+            matrix[f], matrix[fd] = Tensor(cod, dom, {}), Tensor(dom, cod, {})
+        out_idx = tuple(pos[w] for w in outs)
+        in_idx = tuple(pos[w] for w in ins)
+        for g, idx, v in ((f, out_idx + in_idx, ring.variable(b, False)),
+                          (dagger[f], in_idx + out_idx, ring.variable(b, True))):
+            if v:  # zero for a conjugate in the multilinear quotient
+                entries = matrix[g].entries
+                entries[idx] = ring.add(entries[idx], v) if idx in entries else v
+    # Zero matrices are left out, so _reference_value skips denote for them.
+    return Interpretation(ring, space, {f: t for f, t in matrix.items() if t.entries})
 
 
 def all_boxes_monomial(m: Diagram) -> Monomial:
     return Monomial.of(*(((b, False)) for b in range(m.n_boxes)))
 
 
-def iso_polynomial(n: Diagram, m: Diagram) -> tuple[ConjPolynomial, Monomial]:
-    """The value of ``n`` under the polynomial interpretation of ``m``,
-    and the monomial whose coefficient in it counts isomorphisms.
+def _reference_value(n: Diagram, m: Diagram, ring: ScalarRing) -> Any:
+    """The value of ``n`` under the interpretation of ``m`` in ``ring``.
 
     The value is zero when ``n`` uses an object or a box label that
     ``m`` lacks: no box of ``m`` can be its image.
     """
-    interp = m_interpretation(m)
+    interp = m_interpretation(m, ring)
     if (any(a not in interp.space for a in n.wire_labels)
             or any(f not in interp.matrix for f in n.box_labels)):
-        value = ConjPolynomial.zero()
-    else:
-        value = denote(n, interp)
-    return value, all_boxes_monomial(m)
+        return ring.zero
+    return denote(n, interp)
 
 
-def _multilinear_interpretation(m: Diagram) -> Interpretation:
-    """The image of :func:`m_interpretation` in the multilinear quotient.
-
-    Objects get the same dimensions and each box of ``m`` its variable
-    ``{1 << b: 1}`` at the same entry; the conjugate entries are zero
-    in the quotient and left out, so a label gets a matrix only when
-    some box of ``m`` carries it.
-    """
-    space, pos = _wire_basis(m)
-    matrix: dict[MorphismVar, Tensor] = {}
-    for b, f in enumerate(m.box_labels):
-        outs, ins = m.box_outputs[b], m.box_inputs[b]
-        if f not in matrix:
-            matrix[f] = Tensor(tuple(space[m.wire_labels[w]] for w in outs),
-                               tuple(space[m.wire_labels[w]] for w in ins), {})
-        entries = matrix[f].entries
-        idx = tuple(pos[w] for w in outs) + tuple(pos[w] for w in ins)
-        entries[idx] = {**entries.get(idx, {}), 1 << b: 1}
-    return Interpretation(MultilinearRing(), space, matrix)
+def iso_polynomial(n: Diagram, m: Diagram) -> tuple[ConjPolynomial, Monomial]:
+    """The value of ``n`` under the polynomial interpretation of ``m``,
+    and the monomial whose coefficient in it counts isomorphisms."""
+    return _reference_value(n, m, ConjPolynomialRing()), all_boxes_monomial(m)
 
 
 def iso_count_semantic(n: Diagram, m: Diagram) -> int:
@@ -516,11 +485,7 @@ def iso_count_semantic(n: Diagram, m: Diagram) -> int:
     """
     if not (n.is_simple and m.is_simple):
         raise InterpretationError("isomorphism counting needs simple diagrams")
-    interp = _multilinear_interpretation(m)
-    if (any(a not in interp.space for a in n.wire_labels)
-            or any(f not in interp.matrix for f in n.box_labels)):
-        return 0
-    return denote(n, interp).get((1 << m.n_boxes) - 1, 0)
+    return _reference_value(n, m, MultilinearRing()).get((1 << m.n_boxes) - 1, 0)
 
 
 # -- random interpretations and witnesses --------------------------------
@@ -601,9 +566,9 @@ def find_witness(n: Diagram, m: Diagram, dims: Mapping[ObjectVar, int] | int,
     checked and the :class:`Contraction` of each diagram is planned
     once, at the first trial, and run on every trial.  Every candidate
     it finds is re-checked with the independent sweep evaluator before
-    it is reported, and the reported values are the sweep's.  Values are compared with ``ring.eq``, so over floats
-    the ring's tolerance decides.  On an exact ring the two evaluators
-    must agree.
+    it is reported, and the reported values are the sweep's.  Values
+    are compared with ``ring.eq``, so over floats the ring's tolerance
+    decides.  On an exact ring the two evaluators must agree.
     """
     sig = _signature_of((n, m))
     plans = None

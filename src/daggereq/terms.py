@@ -425,6 +425,13 @@ def parse_term(src: str, sig: Signature) -> Term:
     return _Parser(_tokenize(src), sig).parse()
 
 
+def use_path(text: str) -> str | None:
+    """The path of a term file's ``use PATH`` line: its first code line."""
+    code = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    first = next((line for line in code if line), "")
+    return first[4:].strip() if first.startswith("use ") else None
+
+
 def parse_term_file(text: str, sig: Signature | None = None,
                     load_signature=None) -> tuple[Term, Signature]:
     """Parse a term file: optional ``use PATH`` line, then one term.
@@ -433,21 +440,15 @@ def parse_term_file(text: str, sig: Signature | None = None,
     ``sig`` is given it wins over any ``use`` line; otherwise the
     ``use`` path is resolved through the ``load_signature`` callback.
     """
-    use_path: str | None = None
-    body_lines: list[str] = []
-    for raw in text.splitlines():
-        code = raw.split("#", 1)[0]
-        stripped = code.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("use ") and use_path is None and not body_lines:
-            use_path = stripped[4:].strip()
-            continue
-        body_lines.append(code)
+    path = use_path(text)
+    body_lines = [code for code in (raw.split("#", 1)[0] for raw in text.splitlines())
+                  if code.strip()]
+    if path is not None:
+        body_lines = body_lines[1:]  # the use line
     if sig is None:
-        if use_path is None:
+        if path is None:
             raise ParseError("no signature: term file has no 'use' line")
         if load_signature is None:
-            raise ParseError(f"cannot resolve 'use {use_path}' without a loader")
-        sig = load_signature(use_path)
+            raise ParseError(f"cannot resolve 'use {path}' without a loader")
+        sig = load_signature(path)
     return parse_term("\n".join(body_lines), sig), sig

@@ -238,6 +238,23 @@ def test_use_line_resolves_relative_to_the_term_file(tmp_path, capsys):
     assert "verdict: equal" in capsys.readouterr().out
 
 
+def test_a_use_line_in_the_second_file_serves_both(tmp_path, capsys):
+    write(tmp_path, "sig.txt", WORKED_SIG)
+    a = write(tmp_path, "n.term", WORKED_N + "\n")
+    b = write(tmp_path, "m.term", "# reference\nuse sig.txt\n" + WORKED_M + "\n")
+    assert main(["check", a, b]) == 0
+    assert "verdict: equal" in capsys.readouterr().out
+
+
+def test_the_first_use_line_in_argument_order_wins(tmp_path, capsys):
+    write(tmp_path, "sig.txt", WORKED_SIG)
+    a = write(tmp_path, "n.term", "use sig.txt\n" + WORKED_N + "\n")
+    b = write(tmp_path, "m.term", "use missing.txt\n" + WORKED_M + "\n")
+    assert main(["check", a, b]) == 0
+    assert main(["check", b, a]) == 2
+    assert "missing.txt" in capsys.readouterr().err
+
+
 def test_sig_flag_wins_over_use_lines(tmp_path, capsys):
     sig = write(tmp_path, "real.txt", "object A\nmorphism h : A -> A\n")
     a = write(tmp_path, "a.term", "use missing.txt\ntr[A](h)\n")

@@ -9,6 +9,7 @@ from daggereq import (
     ObjectVar,
     ParseError,
     TypeCheckError,
+    close_term,
     compile_term,
     decide_equal,
     diagram_to_text,
@@ -240,6 +241,16 @@ def test_rebracketing_compiles_to_the_identical_diagram(seed, starred):
     closed, sig2 = close_term(t, sig)
     other = genutil.rebracket(closed, rng, sig2)
     assert compile_term(closed, sig2) == compile_term(other, sig2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9), st.booleans())
+def test_compiled_closed_terms_are_valid_diagrams(seed, starred):
+    # compile_term does not run validate on its result.
+    rng = random.Random(seed)
+    sig = genutil.starred_signature() if starred else genutil.gen_signature()
+    closed, sig2 = close_term(genutil.random_term(rng, sig, steps=rng.randint(0, 12)), sig)
+    compile_term(closed, sig2).validate()
 
 
 def test_export_dot_golden(worked):

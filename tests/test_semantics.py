@@ -32,6 +32,7 @@ from daggereq import (
     random_interpretation,
 )
 from daggereq import cli, semantics
+from daggereq.scalars import MultilinearRing
 from daggereq.signature import int_translate
 
 import genutil
@@ -171,6 +172,15 @@ def test_a_daggered_label_does_not_match_its_base():
     assert iso_count_semantic(daggered, daggered) == 1
 
 
+def test_a_daggered_label_the_reference_lacks_is_not_evaluated(monkeypatch):
+    # In the quotient that label's matrix is zero; the count is 0 at once.
+    sig = parse_signature("object X\nmorphism a : X -> X")
+    plain = compile_term(parse_term("tr[X](a ; a)", sig), sig)
+    daggered = compile_term(parse_term("tr[X](a ; dagger(a))", sig), sig)
+    monkeypatch.setattr(semantics, "denote", None)
+    assert iso_count_semantic(daggered, plain) == 0
+
+
 def test_semantic_count_requires_simple_diagrams():
     loop = Diagram((), (), (), (), ((A, 1),))
     with pytest.raises(InterpretationError):
@@ -187,6 +197,37 @@ def test_m_interpretation_merges_parallel_scalar_boxes():
     assert interp.matrix[s].entries == {(): x(0) + x(1)}
     # the value is (x0 + x1)^2 and the square-free coefficient is 2
     assert iso_count_semantic(d, d) == 2
+
+
+def _quotient_image(p: ConjPolynomial) -> dict[int, int]:
+    """``p`` modulo conjugate variables and squares, monomials as bitmasks."""
+    return {sum(1 << box for (box, _), _ in mono.powers): c
+            for mono, c in p.terms()
+            if all(not conj and k == 1 for (_, conj), k in mono.powers)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_m_interpretation_is_a_valid_interpretation(seed):
+    m = genutil.random_simple_diagram(random.Random(seed), genutil.gen_signature(),
+                                      max_boxes=6)
+    m_interpretation(m).check()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_the_multilinear_interpretation_is_the_quotient_image(seed):
+    m = genutil.random_simple_diagram(random.Random(seed), genutil.gen_signature(),
+                                      max_boxes=6)
+    full, quotient = m_interpretation(m), m_interpretation(m, MultilinearRing())
+    assert quotient.space == full.space
+    assert quotient.matrix.keys() <= full.matrix.keys()
+    for f, t in full.matrix.items():
+        image = {idx: _quotient_image(v) for idx, v in t.entries.items()}
+        image = {idx: v for idx, v in image.items() if v}
+        q = quotient.matrix.get(f)  # a zero matrix is left out
+        assert (q.entries if q else {}) == image
+        assert not q or (q.cod_dims, q.dom_dims) == (t.cod_dims, t.dom_dims)
 
 
 def test_trivial_cycles_multiply_by_the_dimension():

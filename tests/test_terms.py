@@ -24,6 +24,7 @@ from daggereq import (
     type_check,
 )
 from daggereq.signature import Sort, SignedObject, ObjectVar
+from daggereq.terms import use_path
 
 import genutil
 
@@ -203,3 +204,11 @@ def test_parse_term_file_explicit_signature_wins():
     assert sig == SIG
     with pytest.raises(ParseError):
         parse_term_file("h ; h")
+
+
+def test_use_path_reads_only_the_first_code_line():
+    assert use_path("# comment\n\n  use  a/b.sig  # note\nh\n") == "a/b.sig"
+    assert use_path("h\nuse a.sig\n") is None
+    assert use_path("user ; h\n") is None
+    assert use_path("use\n") is None
+    assert use_path("") is None
