@@ -25,7 +25,7 @@ from pathlib import Path
 from . import diagram as dg
 from . import semantics as sm
 from . import terms as tm
-from .errors import DaggereqError
+from .errors import DaggereqError, ParseError
 from .scalars import make_ring
 from .signature import Signature, parse_signature
 
@@ -75,7 +75,13 @@ def _load_terms(args, names: list[str]) -> tuple[Signature, list[tm.Term]]:
     if sig is None:
         raise DaggereqError(
             "no signature: pass --sig or put a 'use PATH' line in a term file")
-    return sig, [tm.parse_term_file(text, sig)[0] for text in texts]
+    terms = []
+    for name, text in zip(names, texts):
+        try:
+            terms.append(tm.parse_term_file(text, sig)[0])
+        except ParseError as exc:  # it carries a line and column
+            raise ParseError(f"{name}:{exc}") from None
+    return sig, terms
 
 
 def _parse_dims(text: str | None, sig: Signature) -> dict:

@@ -185,13 +185,9 @@ class _Wiring:
         return root
 
     def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if self.label[ra] != self.label[rb]:
-            raise DiagramError(
-                f"cannot join a {self.label[ra]} wire with a {self.label[rb]} wire"
-            )
-        if ra != rb:
-            self.parent[ra] = rb
+        """Join two ends.  Terms are typed before their ends are joined,
+        so both ends carry the same label."""
+        self.parent[self.find(a)] = self.find(b)
 
 
 class _Builder:
@@ -259,43 +255,23 @@ class _Builder:
                 [end("cod", j) for j in range(len(f.cod))])
 
     def finalize(self) -> Diagram:
-        producers: dict[int, list[tuple[int, int]]] = {}
-        consumers: dict[int, list[tuple[int, int]]] = {}
-        for b in range(len(self.box_labels)):
-            for j, n in enumerate(self.box_cod_nodes[b]):
-                producers.setdefault(self.wiring.find(n), []).append((b, j))
-            for j, n in enumerate(self.box_dom_nodes[b]):
-                consumers.setdefault(self.wiring.find(n), []).append((b, j))
+        """Number the wires in the order of their producing output ports.
 
-        roots = {self.wiring.find(n) for n in range(len(self.wiring.parent))}
-        wire_roots: list[int] = []
-        trivial: Counter[ObjectVar] = Counter()
-        for r in sorted(roots):
-            np, nc = len(producers.get(r, ())), len(consumers.get(r, ()))
-            if np == 1 and nc == 1:
-                wire_roots.append(r)
-            elif np == 0 and nc == 0:
-                trivial[self.wiring.label[r]] += 1
-            else:
-                raise DiagramError(
-                    f"open wire: {np} producers and {nc} consumers"
-                )
-
-        wire_roots.sort(key=lambda r: producers[r][0])
-        wire_of = {r: w for w, r in enumerate(wire_roots)}
-        box_inputs = tuple(
-            tuple(wire_of[self.wiring.find(n)] for n in nodes)
-            for nodes in self.box_dom_nodes
-        )
-        box_outputs = tuple(
-            tuple(wire_of[self.wiring.find(n)] for n in nodes)
-            for nodes in self.box_cod_nodes
-        )
+        In a closed typed term each class of ends has one producer and
+        one consumer, or neither: a trivial cycle.
+        """
+        find = self.wiring.find
+        wire_of: dict[int, int] = {}
+        for nodes in self.box_cod_nodes:
+            for n in nodes:
+                wire_of[find(n)] = len(wire_of)
+        roots = {find(n) for n in range(len(self.wiring.parent))}
+        trivial = Counter(self.wiring.label[r] for r in roots if r not in wire_of)
         return Diagram(
-            tuple(self.wiring.label[r] for r in wire_roots),
+            tuple(self.wiring.label[r] for r in wire_of),
             tuple(self.box_labels),
-            box_inputs,
-            box_outputs,
+            tuple(tuple(wire_of[find(n)] for n in nodes) for nodes in self.box_dom_nodes),
+            tuple(tuple(wire_of[find(n)] for n in nodes) for nodes in self.box_cod_nodes),
             tuple(sorted(trivial.items(), key=lambda item: item[0].name)),
         )
 

@@ -202,36 +202,33 @@ class ConjPolynomial:
 # -- rings -------------------------------------------------------------
 
 class ScalarRing:
-    """Operations a ring of scalars must provide.
+    """An involutive ring of scalars, the values a diagram denotes.
 
-    ``eq`` is exact except for the float ring, which compares within a
-    relative tolerance and sets ``exact`` to False.
+    The values bring their own arithmetic: ``add``, ``mul``, ``conj``
+    and ``eq`` are ``+``, ``*``, ``.conjugate()`` and ``==`` on them.
+    A ring supplies its constants ``zero`` and ``one`` and how values
+    are made, sampled, parsed and printed.  The float ring's ``eq``
+    compares within a relative tolerance and sets ``exact`` to False.
     """
 
     name: str
     exact: bool = True
-
-    @property
-    def zero(self) -> Any:
-        raise NotImplementedError
-
-    @property
-    def one(self) -> Any:
-        raise NotImplementedError
+    zero: Any
+    one: Any
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def conj(self, a):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
+        return a.conjugate()
 
     def eq(self, a, b) -> bool:
+        return a == b
+
+    def from_int(self, n: int):
         raise NotImplementedError
 
     def is_zero(self, a) -> bool:
@@ -256,29 +253,10 @@ _COMPLEX_RE = re.compile(
 
 class GaussianIntegerRing(ScalarRing):
     name = "gauss"
-
-    @property
-    def zero(self) -> GaussianInt:
-        return GaussianInt(0, 0)
-
-    @property
-    def one(self) -> GaussianInt:
-        return GaussianInt(1, 0)
-
-    def add(self, a: GaussianInt, b: GaussianInt) -> GaussianInt:
-        return a + b
-
-    def mul(self, a: GaussianInt, b: GaussianInt) -> GaussianInt:
-        return a * b
-
-    def conj(self, a: GaussianInt) -> GaussianInt:
-        return a.conjugate()
+    zero, one = GaussianInt(0, 0), GaussianInt(1, 0)
 
     def from_int(self, n: int) -> GaussianInt:
         return GaussianInt(n, 0)
-
-    def eq(self, a: GaussianInt, b: GaussianInt) -> bool:
-        return a == b
 
     def sample(self, rng, magnitude: int = 9) -> GaussianInt:
         return GaussianInt(rng.randint(-magnitude, magnitude),
@@ -294,28 +272,12 @@ class GaussianIntegerRing(ScalarRing):
 class ComplexFloatRing(ScalarRing):
     name = "float"
     exact = False
+    zero, one = 0j, 1 + 0j
 
     def __init__(self, tolerance: float = 1e-9):
         if tolerance < 0:
             raise DaggereqError("tolerance must be nonnegative")
         self.tolerance = tolerance
-
-    @property
-    def zero(self) -> complex:
-        return 0j
-
-    @property
-    def one(self) -> complex:
-        return 1 + 0j
-
-    def add(self, a: complex, b: complex) -> complex:
-        return a + b
-
-    def mul(self, a: complex, b: complex) -> complex:
-        return a * b
-
-    def conj(self, a: complex) -> complex:
-        return a.conjugate()
 
     def from_int(self, n: int) -> complex:
         return complex(n, 0)
@@ -339,32 +301,13 @@ class ComplexFloatRing(ScalarRing):
 
 class ConjPolynomialRing(ScalarRing):
     name = "poly"
-
-    @property
-    def zero(self) -> ConjPolynomial:
-        return ConjPolynomial.zero()
-
-    @property
-    def one(self) -> ConjPolynomial:
-        return ConjPolynomial.const(1)
-
-    def add(self, a: ConjPolynomial, b: ConjPolynomial) -> ConjPolynomial:
-        return a + b
-
-    def mul(self, a: ConjPolynomial, b: ConjPolynomial) -> ConjPolynomial:
-        return a * b
-
-    def conj(self, a: ConjPolynomial) -> ConjPolynomial:
-        return a.conjugate()
+    zero, one = ConjPolynomial.zero(), ConjPolynomial.const(1)
 
     def from_int(self, n: int) -> ConjPolynomial:
         return ConjPolynomial.const(n)
 
     def variable(self, box: int, conjugated: bool) -> ConjPolynomial:
         return ConjPolynomial.variable(box, conjugated)
-
-    def eq(self, a: ConjPolynomial, b: ConjPolynomial) -> bool:
-        return a == b
 
 
 class MultilinearRing(ScalarRing):
@@ -412,7 +355,6 @@ class MultilinearRing(ScalarRing):
 
 RINGS = {
     "gauss": GaussianIntegerRing,
-    "float": ComplexFloatRing,
     "poly": ConjPolynomialRing,
 }
 

@@ -258,37 +258,36 @@ def _text(t: Term, args: list[tuple[int, deque[str]]]) -> tuple[int, deque[str]]
 class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the source
 
 
+# A comment ends at any line boundary ``str.splitlines`` knows, as the
+# lines of a term file do for ``use_path``.
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<comment>#[^\n]*)"
+    r"|(?P<comment>#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*(?:†)?)"
     r"|(?P<punct>[;()\[\],*])"
+    r"|(?P<bad>.)"
 )
+
+
+def _error(message: str, src: str, pos: int) -> ParseError:
+    """A :class:`ParseError` at the line and column of offset ``pos``."""
+    line = src.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - src.rfind("\n", 0, pos))
 
 
 def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup or ""
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
         if kind in ("name", "punct"):
-            tokens.append(_Token("name" if kind == "name" else text, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            text = m.group()
+            tokens.append(_Token("name" if kind == "name" else text, text, m.start()))
+        elif kind == "bad":
+            raise _error(f"unexpected character {m.group()!r}", src, m.start())
+    tokens.append(_Token("eof", "", len(src)))
     return tokens
 
 
@@ -299,8 +298,9 @@ class _Parser:
     left.  The keyword ``x`` doubles as the tensor operator.
     """
 
-    def __init__(self, tokens: list[_Token], sig: Signature):
-        self.tokens = tokens
+    def __init__(self, src: str, sig: Signature):
+        self.src = src
+        self.tokens = _tokenize(src)
         self.pos = 0
         self.sig = sig
 
@@ -316,12 +316,11 @@ class _Parser:
         tok = self.next()
         if tok.kind != kind:
             shown = tok.text or "end of input"
-            raise ParseError(f"expected {kind!r}, got {shown!r}", tok.line, tok.col)
+            raise self.fail(f"expected {kind!r}, got {shown!r}", tok)
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def fail(self, message: str, tok: _Token | None = None) -> ParseError:
+        return _error(message, self.src, (tok or self.peek()).pos)
 
     def parse(self) -> Term:
         t = self.composition()
@@ -399,7 +398,7 @@ class _Parser:
     def signed_object(self) -> SignedObject:
         tok = self.expect("name")
         if not self.sig.has_object(tok.text):
-            raise ParseError(f"unknown object {tok.text!r}", tok.line, tok.col)
+            raise self.fail(f"unknown object {tok.text!r}", tok)
         starred = False
         if self.peek().kind == "*":
             self.next()
@@ -422,33 +421,42 @@ class _Parser:
 
 def parse_term(src: str, sig: Signature) -> Term:
     """Parse a term; names are resolved against ``sig`` while parsing."""
-    return _Parser(_tokenize(src), sig).parse()
+    return _Parser(src, sig).parse()
+
+
+def _split_use(text: str) -> tuple[str | None, str]:
+    """The path of a term file's ``use PATH`` line, its first code line,
+    and the file with that line blanked, so positions stay file positions."""
+    lines = text.splitlines(keepends=True)
+    for i, raw in enumerate(lines):
+        code = raw.split("#", 1)[0].strip()
+        if code:
+            if not code.startswith("use "):
+                break
+            lines[i] = raw[len(raw.splitlines()[0]):]  # keep the line break
+            return code[4:].strip(), "".join(lines)
+    return None, text
 
 
 def use_path(text: str) -> str | None:
     """The path of a term file's ``use PATH`` line: its first code line."""
-    code = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    first = next((line for line in code if line), "")
-    return first[4:].strip() if first.startswith("use ") else None
+    return _split_use(text)[0]
 
 
 def parse_term_file(text: str, sig: Signature | None = None,
                     load_signature=None) -> tuple[Term, Signature]:
     """Parse a term file: optional ``use PATH`` line, then one term.
 
-    The term may span several lines; ``#`` comments are stripped.  When
-    ``sig`` is given it wins over any ``use`` line; otherwise the
-    ``use`` path is resolved through the ``load_signature`` callback.
+    The term may span several lines and carry ``#`` comments; error
+    positions are lines and columns of the file.  When ``sig`` is given
+    it wins over any ``use`` line; otherwise the ``use`` path is
+    resolved through the ``load_signature`` callback.
     """
-    path = use_path(text)
-    body_lines = [code for code in (raw.split("#", 1)[0] for raw in text.splitlines())
-                  if code.strip()]
-    if path is not None:
-        body_lines = body_lines[1:]  # the use line
+    path, body = _split_use(text)
     if sig is None:
         if path is None:
             raise ParseError("no signature: term file has no 'use' line")
         if load_signature is None:
             raise ParseError(f"cannot resolve 'use {path}' without a loader")
         sig = load_signature(path)
-    return parse_term("\n".join(body_lines), sig), sig
+    return parse_term(body, sig), sig

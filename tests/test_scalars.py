@@ -12,6 +12,7 @@ from daggereq import (
     ParseError,
     make_ring,
 )
+from daggereq.scalars import MultilinearRing
 
 gauss = st.builds(GaussianInt, st.integers(-50, 50), st.integers(-50, 50))
 
@@ -166,3 +167,35 @@ def test_poly_ring_interface():
     assert ring.is_zero(ring.from_int(0))
     with pytest.raises(NotImplementedError):
         ring.sample(None)
+
+
+def test_gauss_ring_interface():
+    ring = GaussianIntegerRing()
+    a, b = GaussianInt(2, 3), GaussianInt(-1, 4)
+    assert ring.add(a, b) == GaussianInt(1, 7)
+    assert ring.mul(a, b) == GaussianInt(-14, 5)
+    assert ring.conj(a) == GaussianInt(2, -3)
+    assert ring.add(a, ring.zero) == a and ring.mul(ring.one, a) == a
+    assert ring.eq(a, GaussianInt(2, 3)) and not ring.eq(a, b)
+    assert ring.is_zero(ring.from_int(0)) and not ring.is_zero(ring.one)
+
+
+def test_float_ring_interface():
+    ring = ComplexFloatRing(1e-9)
+    a, b = 2 + 3j, -1 + 4j
+    assert ring.add(a, b) == 1 + 7j
+    assert ring.mul(a, b) == -14 + 5j
+    assert ring.conj(a) == 2 - 3j
+    assert ring.add(a, ring.zero) == a and ring.mul(ring.one, a) == a
+    assert ring.eq(ring.mul(a, b), -14 + 5j + 1e-12)  # within the tolerance
+    assert not ring.eq(a, a + 1e-6)
+    assert ring.is_zero(1e-12 + 0j) and not ring.is_zero(ring.one)
+
+
+def test_multilinear_zero_and_one_are_fresh_dicts():
+    ring = MultilinearRing()
+    zero, one = ring.zero, ring.one
+    zero[1] = 5
+    one[0] = 7
+    assert ring.zero == {} and ring.one == {0: 1}
+    assert ring.zero is not ring.zero and ring.one is not ring.one

@@ -206,6 +206,15 @@ def test_parse_term_file_explicit_signature_wins():
         parse_term_file("h ; h")
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_parse_term_file_errors_give_file_positions(newline):
+    text = newline.join(["# c", "use s.sig", "", "  # c", "h ;", "  ; h"])
+    with pytest.raises(ParseError, match=r"^6:3: expected a term, got ';'$"):
+        parse_term_file(text, SIG)
+    with pytest.raises(ParseError, match=r"^2:2: unexpected character '\.'$"):
+        parse_term_file(newline.join(["h", "h.", "use s.sig"]), SIG)
+
+
 def test_use_path_reads_only_the_first_code_line():
     assert use_path("# comment\n\n  use  a/b.sig  # note\nh\n") == "a/b.sig"
     assert use_path("h\nuse a.sig\n") is None
