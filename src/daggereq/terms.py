@@ -316,11 +316,11 @@ class _Parser:
         tok = self.next()
         if tok.kind != kind:
             shown = tok.text or "end of input"
-            raise self.fail(f"expected {kind!r}, got {shown!r}", tok)
+            raise _error(f"expected {kind!r}, got {shown!r}", self.src, tok.pos)
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None) -> ParseError:
-        return _error(message, self.src, (tok or self.peek()).pos)
+    def fail(self, message: str) -> ParseError:
+        return _error(message, self.src, self.peek().pos)
 
     def parse(self) -> Term:
         t = self.composition()
@@ -398,7 +398,7 @@ class _Parser:
     def signed_object(self) -> SignedObject:
         tok = self.expect("name")
         if not self.sig.has_object(tok.text):
-            raise self.fail(f"unknown object {tok.text!r}", tok)
+            raise _error(f"unknown object {tok.text!r}", self.src, tok.pos)
         starred = False
         if self.peek().kind == "*":
             self.next()

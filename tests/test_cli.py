@@ -337,11 +337,9 @@ def test_parse_errors_report_position(tmp_path, capsys):
     assert "error:" in err and "1:" in err
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_parse_errors_name_the_file_and_its_line(tmp_path, capsys, newline):
+def test_parse_errors_name_the_file_and_its_line(tmp_path, capsys):
     write(tmp_path, "s.sig", "object A\nmorphism f : A -> A\n")
-    text = newline.join(["use s.sig", "", "# c", "", "f ; ; f", ""])
-    (tmp_path / "a.term").write_bytes(text.encode())
+    write(tmp_path, "a.term", "use s.sig\n\n# c\n\nf ; ; f\n")
     write(tmp_path, "b.term", "use s.sig\nf ; f\n")
     assert main(["check", str(tmp_path / "b.term"), str(tmp_path / "a.term")]) == 2
     assert capsys.readouterr().err == (

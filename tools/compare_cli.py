@@ -1,12 +1,12 @@
 """Compare the CLI output of two source trees on the benchmark's inputs.
 
-    python3 tools/compare_cli.py OLD_TREE NEW_TREE [--seed 1]
-        [--workloads iso_large,witness_dim3,small_mixed] [--mutants 200]
+    python3 tools/compare_cli.py OLD_TREE NEW_TREE [--seed 1] [--mutants 200]
 
-Writes the inputs ``perfbench/gen.py`` generates for each workload and
-seed (the module is loaded from this checkout and not changed), then
-runs ``check``, ``iso-count`` and ``poly`` in text and JSON and
-``export`` in both styles on every pair, once per tree.  ``--mutants N``
+Writes the inputs ``perfbench/gen.py`` generates for each of its
+workloads and the seed (the module is loaded from this checkout and not
+changed), then runs ``check``, ``iso-count`` and ``poly`` in text and
+JSON and ``export`` in both styles on every pair, the warm-up pair
+included, once per tree.  ``--mutants N``
 adds ``check`` runs on N term files with one character deleted or
 inserted, most of which are parse errors.  Each tree runs in its own
 subprocess with ``PYTHONHASHSEED=0`` and ``DAGGEREQ_SEED`` unset, and
@@ -49,14 +49,14 @@ def _mutate(text: str, rng: random.Random) -> str:
     return text[:pos] + rng.choice(MUTANT_CHARS) + text[pos:]
 
 
-def invocations(work: Path, seed: int, workloads: list[str], mutants: int) -> list:
+def invocations(work: Path, seed: int, mutants: int) -> list:
     """Write the inputs under ``work``; return ``(cwd, argv)`` for each run."""
     gen = _load_gen()
     runs = []
-    for workload in workloads:
+    for workload in gen.WORKLOADS:
         out = work / workload
         manifest = gen.generate(workload, seed, out)
-        for c in manifest["checks"]:
+        for c in [manifest["warmup"], *manifest["checks"]]:
             pair = [c["a"], c["b"]]
             runs.append((str(out), ["check", *pair, "--seed", str(c["seed"])]))
             runs.append((str(out), ["check", *pair, "--seed", str(c["seed"]),
@@ -113,12 +113,11 @@ def main(argv=None) -> int:
     parser.add_argument("old")
     parser.add_argument("new")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workloads", default="iso_large,witness_dim3,small_mixed")
     parser.add_argument("--mutants", type=int, default=0)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare_cli_") as tmp:
         work = Path(tmp)
-        runs = invocations(work, args.seed, args.workloads.split(","), args.mutants)
+        runs = invocations(work, args.seed, args.mutants)
         jobs = work / "jobs.json"
         jobs.write_text(json.dumps(runs))
         old = _run_tree(args.old, jobs, work / "old.json")
