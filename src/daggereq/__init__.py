@@ -51,6 +51,7 @@ from .diagram import (
     Diagram,
     DiagramIso,
     EqualityResult,
+    compile_closed,
     compile_term,
     decide_equal,
     diagram_to_text,

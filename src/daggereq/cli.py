@@ -62,13 +62,24 @@ class _Report:
                 print(line, file=self.out)
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DaggereqError(f"{path}: {exc}") from None
+
+
 def _load_signature(path: str) -> Signature:
-    return parse_signature(Path(path).read_text())
+    text = _read(path)
+    try:
+        return parse_signature(text)
+    except ParseError as exc:  # it carries a line
+        raise ParseError(f"{path}:{exc}") from None
 
 
 def _load_terms(args, names: list[str]) -> tuple[Signature, list[tm.Term]]:
     sig = _load_signature(args.sig) if args.sig else None
-    texts = [Path(name).read_text() for name in names]
+    texts = [_read(name) for name in names]
     for name, text in zip(names, texts):
         if sig is None and (path := tm.use_path(text)) is not None:
             sig = _load_signature(str(Path(name).parent / path))
@@ -225,10 +236,9 @@ def cmd_poly(args) -> int:
 
 def cmd_export(args) -> int:
     sig, (t,) = _load_terms(args, [args.term])
-    closed, sig_c = tm.close_term(t, sig)
-    if closed is not t:
+    (dom, cod), (d,) = dg.compile_closed([t], sig)
+    if not (dom.is_unit and cod.is_unit):
         print("note: term was closed with fresh variables", file=sys.stderr)
-    d = dg.compile_term(closed, sig_c)
     if args.style == "dot":
         text = dg.export_dot(d)
     else:

@@ -8,9 +8,12 @@ object labels (``trivial_cycles``).
 
 Terms compile to diagrams by union-find over wire ends: identities,
 symmetries, duality units and counits contribute no boxes, only
-wiring.  Compact closed structure is removed first: every morphism
-variable is replaced by its star-free translation and the original
-port positions are routed through the translation table.
+wiring.  Compact closed structure is removed box by box: every
+morphism variable is replaced by its star-free translation, computed
+the first time the variable is used, and the original port positions
+are routed through its port table.  Open terms are compiled with their
+boundary wire ends kept, then closed by joining those ends to a pair
+of fresh boxes.
 
 Isomorphism is decided by canonical codes of connected components.
 Ports are ordered, so fixing the image of one box fixes the image of
@@ -31,10 +34,13 @@ from typing import Iterable
 from .errors import DiagramError, ParseError, TypeCheckError
 from . import terms as tm
 from .signature import (
+    TRACED_MONOIDAL,
     MorphismVar,
     ObjectVar,
     Signature,
-    int_translate,
+    Sort,
+    fresh_morphism,
+    int_translate,  # unused here; perfbench's tracer wraps it by this name
 )
 
 
@@ -193,7 +199,6 @@ class _Wiring:
 class _Builder:
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.table = int_translate(sig)[1]
         self.wiring = _Wiring()
         self.box_labels: list[MorphismVar] = []
         self.box_dom_nodes: list[list[int]] = []
@@ -240,7 +245,7 @@ class _Builder:
         return sorts, dom, cod, first_box
 
     def box(self, f: MorphismVar) -> tuple[list[int], list[int]]:
-        g = self.table.variable(f)
+        g, table = f.translation
         dom_nodes = [self.wiring.new(sf.base) for sf in g.dom]
         cod_nodes = [self.wiring.new(sf.base) for sf in g.cod]
         self.box_labels.append(g)
@@ -248,11 +253,29 @@ class _Builder:
         self.box_cod_nodes.append(cod_nodes)
 
         def end(side: str, i: int) -> int:
-            new_side, k = self.table.port(f, (side, i))
+            new_side, k = table[side, i]
             return dom_nodes[k] if new_side == "dom" else cod_nodes[k]
 
         return ([end("dom", i) for i in range(len(f.dom))],
                 [end("cod", j) for j in range(len(f.cod))])
+
+    def close(self, f_in: MorphismVar | None, f_out: MorphismVar | None,
+              dom: list[int], cod: list[int]) -> Diagram:
+        """The diagram of ``f_in ; t ; f_out`` for the term ``t`` built
+        so far, with boundary ends ``dom`` and ``cod``; a missing box
+        leaves its side as it is.  ``f_in`` becomes box 0, as it is the
+        first box of the closed term."""
+        if f_in is not None:
+            _, ends = self.box(f_in)
+            for a, b in zip(ends, dom):
+                self.wiring.union(a, b)
+            for boxes in (self.box_labels, self.box_dom_nodes, self.box_cod_nodes):
+                boxes.insert(0, boxes.pop())
+        if f_out is not None:
+            ends, _ = self.box(f_out)
+            for a, b in zip(cod, ends):
+                self.wiring.union(a, b)
+        return self.finalize()
 
     def finalize(self) -> Diagram:
         """Number the wires in the order of their producing output ports.
@@ -289,6 +312,34 @@ def compile_term(t: tm.Term, sig: Signature) -> Diagram:
     if not (dom.is_unit and cod.is_unit):
         raise TypeCheckError(f"term is not closed: {dom} -> {cod}")
     return builder.finalize()
+
+
+def compile_closed(ts: list[tm.Term],
+                   sig: Signature) -> tuple[tuple[Sort, Sort], list[Diagram]]:
+    """Compile terms of one type ``X -> Y``, each closed as ``in ; t ; out``
+    with one shared pair of fresh variables ``in : I -> X`` and
+    ``out : Y -> I``; return the type and the diagrams.
+
+    Each term is walked once, against ``sig`` itself, and closed at the
+    diagram level.  The diagrams are those :func:`compile_term` gives
+    the terms :func:`terms.close_pair` closes, box for box and wire for
+    wire, and so are the errors.  Closed terms get no closure.
+    """
+    opened = []
+    for t in ts:
+        builder = _Builder(sig)
+        sorts, dom, cod, _ = tm._fold(t, builder.build)
+        opened.append((builder, sorts, dom, cod))
+    dom_sort, cod_sort = tm.common_type([sorts for _, sorts, _, _ in opened])
+    f_in = f_out = None
+    if not (dom_sort.is_unit and cod_sort.is_unit):
+        name_in, name_out = tm.closure_names(sig)
+        if not dom_sort.is_unit:
+            f_in = fresh_morphism(sig, name_in, Sort.unit(), dom_sort)
+        if not cod_sort.is_unit:
+            f_out = fresh_morphism(sig, name_out, cod_sort, Sort.unit())
+    return (dom_sort, cod_sort), [builder.close(f_in, f_out, dom, cod)
+                                  for builder, _, dom, cod in opened]
 
 
 # -- isomorphisms ------------------------------------------------------
@@ -503,8 +554,8 @@ class EqualityResult:
     ``isomorphism`` is one isomorphism from ``diagram_a`` to
     ``diagram_b``, or None when there is none; where there are several
     it is a valid one, not necessarily the first in :func:`find_isos`
-    order.  ``signature`` is the star-free translated signature the two
-    diagrams are labeled over, including any closure variables.
+    order.  ``signature`` is a traced monoidal signature with the
+    objects the two diagrams' wires are labeled with, and no morphisms.
     """
 
     equal: bool
@@ -518,15 +569,14 @@ class EqualityResult:
 def decide_equal(t1: tm.Term, t2: tm.Term, sig: Signature) -> EqualityResult:
     """Decide whether two terms of the same sort are equal in the free theory.
 
-    Both terms are closed with one shared pair of fresh variables,
-    compiled, and compared up to diagram isomorphism.  Equality of the
-    closed diagrams is equivalent to equality of the original terms.
-    No isomorphisms are listed: the count comes from the code classes.
+    Both terms are compiled, each walked once, closed at the diagram
+    level with one shared pair of fresh boxes (:func:`compile_closed`),
+    and compared up to diagram isomorphism.  Equality of the closed
+    diagrams is equivalent to equality of the original terms.  No
+    isomorphisms are listed: the count comes from the code classes.
     """
-    t1c, t2c, sig_c = tm.close_pair(t1, t2, sig)
-    d1 = compile_term(t1c, sig_c)
-    d2 = compile_term(t2c, sig_c)
-    sig_t, _ = int_translate(sig_c)
+    _, (d1, d2) = compile_closed([t1, t2], sig)
+    sig_t = Signature(TRACED_MONOIDAL, sig.objects)
     matching = _match(d1, d2)
     if matching is None:
         return EqualityResult(False, d1, d2, 0, None, sig_t)

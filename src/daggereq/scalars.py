@@ -275,8 +275,8 @@ class ComplexFloatRing(ScalarRing):
     zero, one = 0j, 1 + 0j
 
     def __init__(self, tolerance: float = 1e-9):
-        if tolerance < 0:
-            raise DaggereqError("tolerance must be nonnegative")
+        if not 0 <= tolerance < float("inf"):  # also false for nan
+            raise DaggereqError("tolerance must be nonnegative and finite")
         self.tolerance = tolerance
 
     def from_int(self, n: int) -> complex:

@@ -7,10 +7,12 @@ involution on morphism variables.  In a compact closed signature the
 domain and codomain sorts may mention duals (``A*``); in a traced
 monoidal signature they may not.
 
-``int_translate`` removes all duals from a compact closed signature by
-moving starred factors to the other side of the arrow, keeping a port
-table so diagram construction can route wires through the original
-positions.
+Duals are removed one morphism variable at a time: its
+:attr:`MorphismVar.translation` moves starred factors to the other side
+of the arrow and keeps a port table, so diagram construction can route
+wires through the original positions.  It is computed on first use, so
+compiling a term translates only the variables the term uses.
+``int_translate`` collects the translations of a whole signature.
 """
 
 from __future__ import annotations
@@ -140,6 +142,16 @@ class MorphismVar:
     def dagger(self) -> MorphismVar:
         return MorphismVar(self.name, self.cod, self.dom, not self.daggered)
 
+    @cached_property
+    def translation(self) -> tuple[MorphismVar, dict[Port, Port]]:
+        """The star-free form of this variable and its port table,
+        computed on first use.  A daggered variable translates to the
+        dagger of its base's translation, with the table mirrored."""
+        if not self.daggered:
+            return _translate_var(self)
+        g, table = self.dagger().translation
+        return g.dagger(), {_flip(p): _flip(q) for p, q in table.items()}
+
     def undaggered(self) -> MorphismVar:
         return self.dagger() if self.daggered else self
 
@@ -215,18 +227,14 @@ class Signature:
 
     @cached_property
     def _translation(self) -> tuple[Signature, TranslationTable]:
-        """The result of :func:`int_translate`, computed once."""
+        """The result of :func:`int_translate`, computed once from the
+        variables' own translations."""
         variables: dict[MorphismVar, MorphismVar] = {}
         ports: dict[MorphismVar, dict[Port, Port]] = {}
-        new_base: list[MorphismVar] = []
-        for f in self.base_morphisms:
-            g, table = _translate_var(f)
-            new_base.append(g)
-            variables[f] = g
-            ports[f] = table
-            variables[f.dagger()] = g.dagger()
-            ports[f.dagger()] = {_flip(p): _flip(q) for p, q in table.items()}
-        out = Signature(TRACED_MONOIDAL, self.objects, tuple(new_base))
+        for f in self._mor_index.values():
+            variables[f], ports[f] = f.translation
+        out = Signature(TRACED_MONOIDAL, self.objects,
+                        tuple(variables[f] for f in self.base_morphisms))
         return out, TranslationTable(variables, ports)
 
     @property
@@ -263,6 +271,14 @@ def declare_morphism(sig: Signature, name: str, dom: Sort, cod: Sort) -> Signatu
     return Signature(sig.kind, sig.objects, sig.base_morphisms + (f,))
 
 
+def fresh_morphism(sig: Signature, name: str, dom: Sort, cod: Sort) -> MorphismVar:
+    """``name : dom -> cod`` for a name ``sig`` does not use, checked as
+    :func:`declare_morphism` checks it, without building a signature."""
+    f = MorphismVar(name, dom, cod)
+    _check_morphism(f, sig.kind, set(sig._obj_index), set())
+    return f
+
+
 # -- star elimination -------------------------------------------------
 
 # A port is (side, position): side "dom" or "cod", position 0-based.
@@ -293,6 +309,9 @@ def _flip(p: Port) -> Port:
 
 
 def _translate_var(f: MorphismVar) -> tuple[MorphismVar, dict[Port, Port]]:
+    # Only for undaggered variables: on a daggered one the port order
+    # would differ from the mirror of its base's, which the dagger
+    # must preserve (see MorphismVar.translation).
     # Starred domain factors move (unstarred) to the codomain, starred
     # codomain factors move to the domain.  Movers land after the
     # factors already on the receiving side kept from the domain, and
@@ -328,8 +347,9 @@ def int_translate(sig: Signature) -> tuple[Signature, TranslationTable]:
     returned table records where each original port went.  The dagger
     is preserved: the translation of ``f†`` is the dagger of the
     translation of ``f``, with the port table mirrored accordingly.
-    Traced signatures translate to themselves.  The result is computed
-    once per signature and shared by every caller.
+    Traced signatures translate to themselves.  The result is collected
+    from each variable's :attr:`MorphismVar.translation`, once per
+    signature, and shared by every caller.
     """
     return sig._translation
 

@@ -176,24 +176,36 @@ def close_pair(t1: Term, t2: Term, sig: Signature,
     return _close([t1, t2], sig, prefix)
 
 
-def _close(ts: list[Term], sig: Signature, prefix: str) -> tuple:
-    """Close terms of one type as ``in ; t ; out`` with one shared pair
-    of fresh variables; return the closed terms, then the signature.
-    Closed terms come back as they are."""
-    (dom, cod), *others = [type_check(t, sig) for t in ts]
+def common_type(types: list[tuple[Sort, Sort]]) -> tuple[Sort, Sort]:
+    """The one type ``(dom, cod)`` of terms to be compared."""
+    (dom, cod), *others = types
     for dom2, cod2 in others:
         if (dom, cod) != (dom2, cod2):
             raise TypeCheckError(
                 f"cannot compare {dom} -> {cod} with {dom2} -> {cod2}"
             )
-    if dom.is_unit and cod.is_unit:
-        return (*ts, sig)
+    return dom, cod
+
+
+def closure_names(sig: Signature, prefix: str = "close") -> tuple[str, str]:
+    """The first pair ``prefix_inK``, ``prefix_outK`` that ``sig`` does
+    not use as names, with ``K`` empty, then 1, 2, ..."""
     for k in itertools.count():
         suffix = str(k) if k else ""
         name_in, name_out = f"{prefix}_in{suffix}", f"{prefix}_out{suffix}"
         if not any(sig.has_morphism(name) or sig.has_object(name)
                    for name in (name_in, name_out)):
-            break
+            return name_in, name_out
+
+
+def _close(ts: list[Term], sig: Signature, prefix: str) -> tuple:
+    """Close terms of one type as ``in ; t ; out`` with one shared pair
+    of fresh variables; return the closed terms, then the signature.
+    Closed terms come back as they are."""
+    dom, cod = common_type([type_check(t, sig) for t in ts])
+    if dom.is_unit and cod.is_unit:
+        return (*ts, sig)
+    name_in, name_out = closure_names(sig, prefix)
     if not dom.is_unit:
         sig = declare_morphism(sig, name_in, Sort.unit(), dom)
         ts = [Compose(Var(name_in), t) for t in ts]

@@ -285,6 +285,8 @@ def test_bad_dims_are_an_error(pare_files, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--dims", "X=banana"], "bad --dims"),
     (["--ring", "float", "--tolerance", "-1"], "tolerance must be nonnegative"),
+    (["--ring", "float", "--tolerance", "nan"], "tolerance must be nonnegative and finite"),
+    (["--ring", "float", "--tolerance", "inf"], "tolerance must be nonnegative and finite"),
 ])
 def test_bad_witness_flags_are_an_error_on_equal_terms(worked_files, capsys,
                                                        flags, message):
@@ -344,6 +346,33 @@ def test_parse_errors_name_the_file_and_its_line(tmp_path, capsys):
     assert main(["check", str(tmp_path / "b.term"), str(tmp_path / "a.term")]) == 2
     assert capsys.readouterr().err == (
         f"error: {tmp_path / 'a.term'}:5:5: expected a term, got ';'\n")
+
+
+@pytest.mark.parametrize("via_use", [False, True])
+def test_signature_parse_errors_name_the_signature_file(tmp_path, capsys, via_use):
+    sig = write(tmp_path, "s.sig", "object A\nmorphism f : A -> Q\n")
+    a = write(tmp_path, "a.term", "use s.sig\nf\n" if via_use else "f\n")
+    argv = ["check", a, a] if via_use else ["check", "--sig", sig, a, a]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {sig}:2: unknown object 'Q'\n"
+
+
+@pytest.mark.parametrize("undecodable", ["term", "signature"])
+def test_undecodable_files_are_bad_input(tmp_path, capsys, undecodable):
+    sig = write(tmp_path, "s.sig", "object A\nmorphism f : A -> A\n")
+    ok = write(tmp_path, "ok.term", "f ; f\n")
+    binary = tmp_path / "bin.term"
+    binary.write_bytes(b"\xff\xfe\x00bad")
+    if undecodable == "term":
+        argv = ["check", "--sig", sig, ok, str(binary)]
+    else:
+        argv = ["check", "--sig", str(binary), ok, ok]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {binary}: ")
+    assert "can't decode byte 0xff" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_float_tolerance_sets_the_witness_comparison(pare_files, capsys):

@@ -4,13 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from daggereq import (
+    DaggereqError,
     Diagram,
     DiagramError,
     ObjectVar,
     ParseError,
+    Sort,
     TypeCheckError,
+    close_pair,
     close_term,
+    compile_closed,
     compile_term,
+    declare_morphism,
     decide_equal,
     diagram_to_text,
     export_dot,
@@ -22,7 +27,7 @@ from daggereq import (
     parse_signature,
     parse_term,
 )
-from daggereq import diagram
+from daggereq import diagram, signature
 from daggereq.signature import int_translate
 
 import genutil
@@ -220,6 +225,90 @@ def test_decide_equal_closes_open_terms_consistently():
     assert not decide_equal(t1, t3, sig).equal
     with pytest.raises(TypeCheckError):
         decide_equal(parse_term("f", sig), parse_term("h", sig), sig)
+
+
+def outcome(compile_pair, t1, t2, sig):
+    """The two closed diagrams as text, or the error's type and message."""
+    try:
+        return [diagram_to_text(d) for d in compile_pair(t1, t2, sig)]
+    except DaggereqError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def by_closing_terms(t1, t2, sig):
+    t1c, t2c, sig_c = close_pair(t1, t2, sig)
+    return compile_term(t1c, sig_c), compile_term(t2c, sig_c)
+
+
+def by_deciding(t1, t2, sig):
+    res = decide_equal(t1, t2, sig)
+    return res.diagram_a, res.diagram_b
+
+
+def by_closing_one_term(t1, _, sig):
+    closed, sig_c = close_term(t1, sig)
+    return [compile_term(closed, sig_c)]
+
+
+def by_exporting(t1, _, sig):
+    return compile_closed([t1], sig)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9), st.booleans(), st.booleans())
+def test_closing_diagrams_agrees_with_closing_terms(seed, starred, taken):
+    rng = random.Random(seed)
+    sig = genutil.starred_signature() if starred else genutil.gen_signature()
+    if taken:  # the closure must take the next free pair of names
+        sig = declare_morphism(sig, "close_in", Sort.unit(), Sort.unit())
+    steps = rng.randint(0, 12)
+    roll = rng.random()
+    if roll < 0.15:
+        t1 = genutil.random_term(rng, sig, steps)
+        t2 = genutil.random_untyped_term(rng, sig, steps)
+    elif roll < 0.3:
+        t1 = genutil.random_untyped_term(rng, sig, steps)
+        t2 = genutil.random_term(rng, sig, steps)
+    else:
+        t1 = genutil.random_term(rng, sig, steps)
+        if rng.random() < 0.3:
+            t1, sig = close_term(t1, sig)
+        if rng.random() < 0.7:
+            t2 = genutil.rebracket(t1, rng, sig)
+        else:
+            t2 = genutil.random_term(rng, sig, steps)
+    expected = outcome(by_closing_terms, t1, t2, sig)
+    assert outcome(by_deciding, t1, t2, sig) == expected
+    assert (outcome(by_exporting, t1, t2, sig)
+            == outcome(by_closing_one_term, t1, t2, sig))
+
+
+def test_closure_variables_are_checked_like_declared_ones():
+    # A traced signature has no duals, so it cannot close a starred
+    # type; close_in is checked first, and it meets A* before B*.
+    sig = parse_signature("kind traced-monoidal\nobject A\nobject B\n")
+    t = parse_term("sym[A*,B*]", sig)
+    expected = ("SignatureError", "starred object A* in traced monoidal signature")
+    assert outcome(by_closing_terms, t, t, sig) == expected
+    assert outcome(by_deciding, t, t, sig) == expected
+    assert outcome(by_exporting, t, t, sig) == expected
+
+
+def test_a_check_translates_only_the_generators_its_terms_use(monkeypatch):
+    sig = parse_signature("object A\nobject B\n" + "".join(
+        f"morphism m{i} : A* x B -> A\n" for i in range(40)))
+    translated = []
+    translate = signature._translate_var
+
+    def counting_translate(f):
+        translated.append(f.display_name)
+        return translate(f)
+
+    monkeypatch.setattr(signature, "_translate_var", counting_translate)
+    t1 = parse_term("m3 ; m7†", sig)
+    t2 = parse_term("m3 ; m7† ; id[A* x B]", sig)
+    assert decide_equal(t1, t2, sig).equal
+    assert sorted(translated) == ["close_in", "close_out", "m3", "m7"]
 
 
 def test_decide_equal_distinguishes_trivial_cycle_counts():
