@@ -15,7 +15,7 @@ index assignment and is the test oracle for both.  The contraction is
 split into a plan, :class:`Contraction`, which fixes the wire order and
 the index maps from the wiring and the dimensions alone, and a run
 under one interpretation; the witness search plans each diagram once
-and runs the plan on every trial.
+and runs the plan on every trial, at every dimension it tries.
 
 The polynomial interpretation of a reference diagram M assigns to each
 object the free space on the wires of M with that label and to each
@@ -34,6 +34,18 @@ and a term that repeats a variable is dropped as soon as it appears.
 One builder, :func:`m_interpretation`, makes the interpretation in
 either ring: each ring supplies the variable of a box and of its
 conjugate, and the quotient's conjugate is zero.
+
+The witness search, :func:`find_witness`, looks for an interpretation
+giving two unequal diagrams different values.  It tries random matrices
+at a few small dimensions first.  Over the exact Gaussian integers it
+sizes their sample range and trial count by the Schwartz-Zippel bound
+(Schwartz 1980, Zippel 1979): a value is a polynomial of degree at most
+the box count in the sampled parts, so a random point misses a nonzero
+difference with a probability the bound makes small.  Some unequal
+pairs agree at every small dimension, such as a trace word and its
+reverse on 2x2 matrices.  The search then ends with the interpretation
+from the completeness proof: the same builder, with each box variable
+of the reference diagram set to a random sample.
 """
 
 from __future__ import annotations
@@ -490,14 +502,55 @@ def iso_count_semantic(n: Diagram, m: Diagram) -> int:
 
 # -- random interpretations and witnesses --------------------------------
 
+# Dimensions tried in turn, every object at once, when the search is
+# given none; the completeness construction follows them.
+ESCALATION = (2, 3)
+# Trials per dimension over floats, where the Schwartz-Zippel bound
+# does not hold.
+DEFAULT_TRIALS = 100
+# Trials per dimension over an exact ring, and the bits of the sample
+# range per unit of degree: one trial at magnitude R >= deg * 2^20
+# misses a nonzero difference of degree deg with probability at most
+# deg / (2R + 1) < 2^-20, so two trials miss with at most 2^-40.
+SIZED_TRIALS = 2
+SIZED_BITS = 20
+# Most matrix entries one random interpretation may hold.  Each entry
+# costs a few hundred bytes, so this caps one interpretation at a few
+# hundred megabytes.
+ENTRY_BUDGET = 1_000_000
+
+
+def sample_magnitude(n_boxes: int) -> int:
+    """The least power of two at least ``max(n_boxes, 1) * 2^20``."""
+    return 1 << ((max(n_boxes, 1) << SIZED_BITS) - 1).bit_length()
+
+
+def _over_budget(sig: Signature, space: Mapping[ObjectVar, int]) -> str | None:
+    """Why random matrices for ``sig`` at ``space`` are too large, or None."""
+    size = 0
+    for f in sig.base_morphisms:
+        entries = 1
+        for sf in (*f.cod, *f.dom):
+            entries *= space[sf.base]
+        size += entries
+    if size <= ENTRY_BUDGET:
+        return None
+    return (f"a random interpretation at these dimensions needs {size} matrix "
+            f"entries, over the budget of {ENTRY_BUDGET}")
+
+
 def random_interpretation(sig: Signature, dims: Mapping[ObjectVar, int] | int,
-                          ring: ScalarRing, seed: int = 0) -> Interpretation:
+                          ring: ScalarRing, seed: int = 0,
+                          magnitude: int | None = None) -> Interpretation:
     """Dense random matrices for every morphism variable of ``sig``.
 
     ``sig`` must be star-free (translate first).  Shapes come from the
     dimensions and dagger partners get the conjugate transpose, so the
     result is valid by construction and :meth:`Interpretation.check`
-    is not run on it.
+    is not run on it.  Entries are ``ring.sample(rng, magnitude)``, or
+    ``ring.sample(rng)`` with the ring's own range when ``magnitude``
+    is None.  A request for more than :data:`ENTRY_BUDGET` entries
+    raises before any entry is made.
     """
     rng = random.Random(seed)
     space: dict[ObjectVar, int] = {}
@@ -508,15 +561,20 @@ def random_interpretation(sig: Signature, dims: Mapping[ObjectVar, int] | int,
         if d < 0:
             raise InterpretationError(f"dimension of {a} must be nonnegative")
         space[a] = d
-    matrix: dict[MorphismVar, Tensor] = {}
     for f in sig.base_morphisms:
         if f.dom.has_stars or f.cod.has_stars:
             raise InterpretationError(
                 f"cannot interpret starred sorts of {f.display_name!r}")
+    over = _over_budget(sig, space)
+    if over:
+        raise InterpretationError(over)
+    extra = () if magnitude is None else (magnitude,)
+    matrix: dict[MorphismVar, Tensor] = {}
+    for f in sig.base_morphisms:
         cod_dims = tuple(space[sf.base] for sf in f.cod)
         dom_dims = tuple(space[sf.base] for sf in f.dom)
         entries = {
-            idx: ring.sample(rng)
+            idx: ring.sample(rng, *extra)
             for idx in itertools.product(*(range(k) for k in cod_dims + dom_dims))
         }
         t = Tensor(cod_dims, dom_dims, entries)
@@ -525,15 +583,84 @@ def random_interpretation(sig: Signature, dims: Mapping[ObjectVar, int] | int,
     return Interpretation(ring, space, matrix)
 
 
+class _PointRing(ScalarRing):
+    """Box variables at one point of ``ring``, for :func:`m_interpretation`:
+    box ``b``'s variable is ``point[b]`` and its conjugate variable is
+    the conjugate of that value."""
+
+    def __init__(self, ring: ScalarRing, point: Sequence[Any]):
+        self.ring = ring
+        self.point = point
+
+    def variable(self, box: int, conjugated: bool) -> Any:
+        x = self.point[box]
+        return self.ring.conj(x) if conjugated else x
+
+
+def _is_prime(k: int) -> bool:
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            return False
+        d += 1
+    return k >= 2
+
+
+def _construction(n: Diagram, m: Diagram, sig: Signature, ring: ScalarRing,
+                  seed: int, magnitude: int | None) -> Interpretation:
+    """The interpretation of the completeness proof, at a random point.
+
+    Each object gets the wires of ``m`` that carry it and each box of
+    ``m`` a random sample, placed by :func:`m_interpretation`.  A label
+    of ``sig`` that ``m`` lacks gets a zero matrix, and an object that
+    ``m`` lacks dimension 1.  The value of either diagram is then a
+    polynomial in the samples, of degree at most its box count, and the
+    coefficient of the product of all of them counts the isomorphisms
+    from its simple part to ``m``'s.  That count is at least 1 for
+    ``m`` and 0 for an ``n`` whose simple part is not isomorphic to
+    ``m``'s, so the two values differ as polynomials.  When the trivial
+    cycles differ, every dimension is padded to a distinct prime at
+    least ``max(2, wire count)``: padding leaves the simple parts'
+    values alone, and distinct primes make the factors the trivial
+    cycles contribute differ.
+    """
+    reference = m.without_trivial_cycles()
+    rng = random.Random(seed)
+    extra = () if magnitude is None else (magnitude,)
+    point = [ring.sample(rng, *extra) for _ in range(reference.n_boxes)]
+    interp = m_interpretation(reference, _PointRing(ring, point))
+    space = {a: interp.space.get(a, 1) for a in sig.objects}
+    if n.trivial_cycles != m.trivial_cycles:
+        used: set[int] = set()
+        for a in sig.objects:
+            p = max(2, space[a])
+            while p in used or not _is_prime(p):
+                p += 1
+            used.add(p)
+            space[a] = p
+    matrix: dict[MorphismVar, Tensor] = {}
+    for f in sig.morphisms:
+        t = interp.matrix.get(f)
+        matrix[f] = Tensor(tuple(space[sf.base] for sf in f.cod),
+                           tuple(space[sf.base] for sf in f.dom),
+                           t.entries if t is not None else {})
+    return Interpretation(ring, space, matrix)
+
+
 @dataclass
 class Witness:
-    """A concrete interpretation separating two diagrams."""
+    """A concrete interpretation separating two diagrams.
+
+    ``construction`` is True when the interpretation comes from the
+    completeness construction rather than from random matrices.
+    """
 
     trial: int
     seed: int
     interpretation: Interpretation
     value_a: Any
     value_b: Any
+    construction: bool = False
 
 
 def _signature_of(diagrams: tuple[Diagram, ...]) -> Signature:
@@ -556,45 +683,101 @@ def _signature_of(diagrams: tuple[Diagram, ...]) -> Signature:
     )
 
 
-def find_witness(n: Diagram, m: Diagram, dims: Mapping[ObjectVar, int] | int,
-                 ring: ScalarRing, trials: int = 100, seed: int = 0,
+def find_witness(n: Diagram, m: Diagram,
+                 dims: Mapping[ObjectVar, int] | int | None,
+                 ring: ScalarRing, trials: int | None = None, seed: int = 0,
+                 on_miss: Callable[[str], None] | None = None,
                  ) -> Witness | None:
-    """Search random interpretations for one giving ``n`` and ``m``
-    different values.
+    """Search interpretations for one giving ``n`` and ``m`` different
+    values.
 
-    Every trial has the same dimensions, so the matrix shapes are
-    checked and the :class:`Contraction` of each diagram is planned
-    once, at the first trial, and run on every trial.  Every candidate
-    it finds is re-checked with the independent sweep evaluator before
-    it is reported, and the reported values are the sweep's.  Values
-    are compared with ``ring.eq``, so over floats the ring's tolerance
-    decides.  On an exact ring the two evaluators must agree.
+    With ``dims`` given, every trial draws random matrices at those
+    dimensions.  With ``dims`` None, the trials put every object at
+    each dimension of :data:`ESCALATION` in turn, and when all of them
+    miss, the search ends with the completeness construction (see
+    :func:`_construction`), which separates any two unequal diagrams
+    with high probability but at dimensions as large as the wire
+    counts of ``m``.  It comes last because the smallest separating
+    dimensions make the clearest witness.
+
+    On an exact ring, the sample range is sized by the Schwartz-Zippel
+    bound.  Each value is a polynomial of degree at most
+    deg = max(boxes of ``n``, boxes of ``m``, 1) in the sampled real and
+    imaginary parts, so with parts drawn from +-R, R the least power of
+    two at least deg * 2^20 (:func:`sample_magnitude`), one trial misses
+    a nonzero difference with probability at most 2^-20, and the
+    :data:`SIZED_TRIALS` trials run at each dimension miss with at most
+    2^-40.  An explicit ``trials`` changes only the count.  Over floats
+    the bound does not hold: the search keeps the ring's own sample
+    range and runs :data:`DEFAULT_TRIALS` trials by default.  With
+    ``dims`` None, a dimension whose random matrices would hold more
+    than :data:`ENTRY_BUDGET` entries is skipped with a note; with
+    ``dims`` given, the budget error is raised.
+
+    The signature is collected and the :class:`Contraction` of each
+    diagram planned once per search, at the first dimensions tried, and
+    the plans run at every dimension; the matrix shapes are checked
+    once per dimension.  Every candidate is re-checked with the
+    independent sweep evaluator before it is reported, and the reported
+    values are the sweep's.  Values are compared with ``ring.eq``, so
+    over floats the ring's tolerance decides.  On an exact ring the two
+    evaluators must agree.  ``on_miss`` receives a note for each
+    dimension, or the construction, that gave no witness, with the
+    number of trials run there.
     """
     sig = _signature_of((n, m))
+    magnitude = sample_magnitude(max(n.n_boxes, m.n_boxes)) if ring.exact else None
+    if trials is None:
+        trials = SIZED_TRIALS if ring.exact else DEFAULT_TRIALS
+    if dims is None:
+        stages = [(k, f"at dimensions [{k}]") for k in ESCALATION]
+        stages.append((None, "from the completeness construction"))
+    else:
+        shown = [dims] if isinstance(dims, int) else sorted(set(dims.values()))
+        stages = [(dims, f"at dimensions {shown}")]
     plans = None
-    for trial in range(trials):
-        trial_seed = seed * 1_000_003 + trial
-        interp = random_interpretation(sig, dims, ring, trial_seed)
-        if plans is None:
-            _check_shapes(n, interp)
-            _check_shapes(m, interp)
-            plans = Contraction(n, interp.space), Contraction(m, interp.space)
-        va, vb = plans[0].run(interp), plans[1].run(interp)
-        if ring.eq(va, vb):
-            continue
-        sa, sb = denote_sweep(n, interp), denote_sweep(m, interp)
-        if ring.exact and not (ring.eq(sa, va) and ring.eq(sb, vb)):
-            raise DaggereqError("evaluator mismatch on an exact ring")
-        if ring.eq(sa, sb):
-            continue
-        return Witness(trial, trial_seed, interp, sa, sb)
+    for stage_dims, where in stages:
+        if dims is None and stage_dims is not None:
+            over = _over_budget(sig, dict.fromkeys(sig.objects, stage_dims))
+            if over:  # too large to try; the construction still can
+                if on_miss is not None:
+                    on_miss(f"no witness {where}: {over}")
+                continue
+        for trial in range(trials):
+            trial_seed = seed * 1_000_003 + trial
+            if stage_dims is None:
+                interp = _construction(n, m, sig, ring, trial_seed, magnitude)
+            else:
+                interp = random_interpretation(sig, stage_dims, ring, trial_seed,
+                                               magnitude)
+            if trial == 0:  # the shapes are the same at every trial of a stage
+                _check_shapes(n, interp)
+                _check_shapes(m, interp)
+            if plans is None:
+                plans = Contraction(n, interp.space), Contraction(m, interp.space)
+            va, vb = plans[0].run(interp), plans[1].run(interp)
+            if ring.eq(va, vb):
+                continue
+            sa, sb = denote_sweep(n, interp), denote_sweep(m, interp)
+            if ring.exact and not (ring.eq(sa, va) and ring.eq(sb, vb)):
+                raise DaggereqError("evaluator mismatch on an exact ring")
+            if ring.eq(sa, sb):
+                continue
+            return Witness(trial, trial_seed, interp, sa, sb,
+                           construction=stage_dims is None)
+        if on_miss is not None:
+            on_miss(f"no witness {where} after {trials} trials")
     return None
 
 
 # -- text format ---------------------------------------------------------
 
 def interpretation_to_text(interp: Interpretation) -> str:
-    """Serialize dimensions and matrix entries, zeros omitted."""
+    """Serialize dimensions and matrix entries, zeros omitted.
+
+    A zero matrix with at least one entry writes its first entry, so
+    that the text still gives it a matrix.
+    """
     lines = []
     for a in sorted(interp.space, key=lambda a: a.name):
         lines.append(f"dim {a} = {interp.space[a]}")
@@ -602,10 +785,11 @@ def interpretation_to_text(interp: Interpretation) -> str:
     for f in sorted(interp.matrix, key=lambda f: f.display_name):
         t = interp.matrix[f]
         k = len(t.cod_dims)
-        for idx in sorted(t.entries):
-            v = t.entries[idx]
-            if ring.is_zero(v):
-                continue
+        shown = [(idx, v) for idx, v in sorted(t.entries.items())
+                 if not ring.is_zero(v)]
+        if not shown and all(t.cod_dims + t.dom_dims):
+            shown = [((0,) * len(t.cod_dims + t.dom_dims), ring.zero)]
+        for idx, v in shown:
             cod = ",".join(str(i) for i in idx[:k])
             dom = ",".join(str(i) for i in idx[k:])
             lines.append(f"{f.display_name}[{cod}|{dom}] = {ring.format(v)}")

@@ -18,7 +18,7 @@ compiling a term translates only the variables the term uses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Iterator, Mapping
 
@@ -197,16 +197,21 @@ class Signature:
     """An immutable signature.
 
     ``base_morphisms`` holds only the declared (undaggered)
-    representatives; daggered partners are derived on demand.
+    representatives; daggered partners are derived on demand.  The
+    declarations are validated on construction.
     """
 
     kind: str = COMPACT_CLOSED
     objects: tuple[ObjectVar, ...] = ()
     base_morphisms: tuple[MorphismVar, ...] = ()
+    # Set only by parse_signature, which validates line by line.
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _checked: bool) -> None:
         if self.kind not in (COMPACT_CLOSED, TRACED_MONOIDAL):
             raise SignatureError(f"unknown signature kind {self.kind!r}")
+        if _checked:
+            return
         obj_names = _check_objects(self.objects)
         mor_seen: set[str] = set()
         for f in self.base_morphisms:
@@ -423,7 +428,7 @@ def parse_signature(text: str) -> Signature:
             raise ParseError(str(exc), lineno) from None
         declared.append(f)
         mor_seen.add(name)
-    return Signature(kind, tuple(objects), tuple(declared))
+    return Signature(kind, tuple(objects), tuple(declared), _checked=True)
 
 
 def morphism_line(f: MorphismVar) -> str:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 from daggereq import (
     Compose,
     GaussianIntegerRing,
+    Id,
+    Sort,
     TensorTerm,
+    Trace,
     Var,
     compile_term,
     denote,
@@ -24,8 +28,11 @@ from daggereq import (
     parse_term,
     signature_to_text,
     term_to_text,
+    type_check,
 )
+from daggereq import semantics
 from daggereq.cli import main
+from daggereq.diagram import decide_equal
 from daggereq.signature import int_translate
 
 from conftest import PARE_SIG, PARE_WORD_1, PARE_WORD_2, WORKED_M, WORKED_N, WORKED_SIG
@@ -298,9 +305,12 @@ def test_bad_witness_flags_are_an_error_on_equal_terms(worked_files, capsys,
 
 
 @pytest.mark.parametrize("flags, expected", [
-    ([], {"value_a": "330360+2443544i", "value_b": "516499+5847287i",
+    ([], {"value_a": "-524649164980774436072320474901121298154584"
+                     "+447190521354007159716270353861244079997614i",
+          "value_b": "-318354145203667962234250784456226567825541"
+                     "+444135415604530282406775551810902248063960i",
           "trial": 0, "seed": 0, "text_sha256":
-          "a30ddcd81525258738e85314d09ff5d36de88bb71c8ea7c0952e8b6c1b78fd19"}),
+          "8d128071cd7045bb91433ac758498f4219b6d3c2e040c21f05790339af143f28"}),
     (["--ring", "float", "--dims", "X=3"],
      {"value_a": "3.064316927976586-7.6103228299860906i",
       "value_b": "3.6354643458980043-2.2968622493691955i",
@@ -469,3 +479,137 @@ def test_mutated_term_files_exit_zero_one_or_two(seed, command):
             code = main(argv)
     assert code in (0, 1, 2)
     assert err.getvalue() == "" or err.getvalue().startswith("error: ")
+
+
+def _check_and_replay(tmp_path, sig, t1, t2, flags=()):
+    """Run ``check`` on two unequal terms with ``--witness-out``, replay
+    the witness file on the compiled diagrams and return the record."""
+    sig_path = write(tmp_path, "replay.sig", signature_to_text(sig))
+    a = write(tmp_path, "a.term", term_to_text(t1) + "\n")
+    b = write(tmp_path, "b.term", term_to_text(t2) + "\n")
+    out_path = tmp_path / "witness.txt"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["check", "--format", "json", "--sig", sig_path, a, b,
+                     "--witness-out", str(out_path), *flags])
+    assert code == 1
+    record = json.loads(out.getvalue())
+    assert record["value_a"] != record["value_b"]
+    result = decide_equal(t1, t2, sig)
+    da, db = result.diagram_a, result.diagram_b
+    # The witness interprets the generators the diagrams use, closing
+    # generators included.
+    interp = parse_interpretation(out_path.read_text(),
+                                  semantics._signature_of((da, db)), gauss)
+    assert gauss.format(denote(da, interp)) == record["value_a"]
+    assert gauss.format(denote(db, interp)) == record["value_b"]
+    return record
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9), st.booleans(), st.booleans())
+def test_every_unequal_pair_gets_a_witness_that_replays(seed, starred,
+                                                        construction_only):
+    # Random terms, some open, against another term of the same type or
+    # against themselves with an extra scalar: a trivial cycle, or boxes.
+    # With the escalation emptied, the completeness construction must
+    # separate every unequal pair on its own.
+    rng = random.Random(seed)
+    sig = genutil.starred_signature() if starred else genutil.gen_signature()
+    t1 = genutil.random_term(rng, sig, rng.randint(0, 8))
+    t2 = None
+    for _ in range(20):
+        t = genutil.random_term(rng, sig, rng.randint(0, 8))
+        if type_check(t, sig) == type_check(t1, sig):
+            t2 = t
+            break
+    if t2 is None or rng.random() < 0.4:
+        scalar = (Compose(Var("u"), Var("u†")) if starred else Var("s"))
+        loop = Trace(Sort.of(sig.objects[0]), Id(Sort.of(sig.objects[0])))
+        t2 = TensorTerm(t1, rng.choice([scalar, loop]))
+    if decide_equal(t1, t2, sig).equal:
+        return
+    escalation = () if construction_only else semantics.ESCALATION
+    with tempfile.TemporaryDirectory() as tmp, \
+            unittest.mock.patch.object(semantics, "ESCALATION", escalation):
+        record = _check_and_replay(Path(tmp), sig, t1, t2)
+    notes = " ".join(record["notes"])
+    assert ("completeness construction" in notes) == construction_only
+
+
+@pytest.mark.parametrize("escalation, sig_text, term_a, term_b, dims", [
+    # The README's reverse words agree on all 2x2 matrices; the
+    # construction gives X the six wires of the second word.
+    ((2,), PARE_SIG, PARE_WORD_1, PARE_WORD_2, {"X": 6}),
+    # At dimension 1 a loop is worth 1; the construction pads A to 2.
+    ((1,), "object A\nmorphism t : A -> A\n",
+     "tr[A](id[A]) x tr[A](t)", "tr[A](t)", {"A": 2}),
+    # u is not in the second term: its zero matrix writes one zero entry.
+    ((), "object A\nmorphism t : A -> A\nmorphism u : A -> A\n",
+     "tr[A](t) x tr[A](u)", "tr[A](t) x tr[A](t)", {"A": 2}),
+])
+def test_the_construction_ends_the_search(tmp_path, monkeypatch, escalation,
+                                          sig_text, term_a, term_b, dims):
+    monkeypatch.setattr(semantics, "ESCALATION", escalation)
+    sig = parse_signature(sig_text)
+    record = _check_and_replay(tmp_path, sig, parse_term(term_a, sig),
+                               parse_term(term_b, sig))
+    assert record["witness"]["dims"] == dims
+    assert record["notes"][:-1] == [
+        *(f"no witness at dimensions [{k}] after 2 trials" for k in escalation),
+        f"witness found at dimensions {sorted(set(dims.values()))} "
+        "(completeness construction, trial 0)",
+    ]
+
+
+@pytest.mark.parametrize("flags, trials, magnitude", [
+    ([], 2, 1 << 23),  # six boxes: the least power of two >= 6 * 2^20
+    (["--trials", "7"], 7, 1 << 23),  # the count changes, the range does not
+    (["--ring", "float"], 100, None),
+])
+def test_the_default_search_is_sized_by_the_ring(pare_files, capsys, monkeypatch,
+                                                 flags, trials, magnitude):
+    calls = []
+    sample = semantics.random_interpretation
+
+    def counting(sig, dims, ring, seed=0, magnitude=None):
+        calls.append(magnitude)
+        return sample(sig, dims, ring, seed, magnitude)
+
+    monkeypatch.setattr(semantics, "random_interpretation", counting)
+    sig, a, b = pare_files
+    assert main(["check", "--format", "json", "--sig", sig, a, b] + flags) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["notes"][0] == f"no witness at dimensions [2] after {trials} trials"
+    assert record["witness"]["dims"] == {"X": 3}
+    assert calls == [magnitude] * (trials + record["witness"]["trial"] + 1)
+
+
+def test_random_interpretations_have_an_entry_budget(pare_files, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(semantics, "ENTRY_BUDGET", 100)
+    sig, a, b = pare_files
+    # Two generators of X -> X: 2 * 7^2 = 98 entries fit, 2 * 11^2 = 242 do not.
+    assert main(["check", "--sig", sig, a, b, "--dims", "X=7"]) == 1
+    capsys.readouterr()
+    assert main(["check", "--sig", sig, a, b, "--dims", "X=11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a random interpretation at these dimensions "
+                            "needs 242 matrix entries, over the budget of 100\n")
+
+
+def test_the_default_search_skips_dimensions_over_the_budget(tmp_path,
+                                                             monkeypatch):
+    # Two generators of X -> X: 2 * 2^2 = 8 entries fit, 2 * 3^2 = 18 do
+    # not, so dimension 3 is skipped and the construction separates.
+    monkeypatch.setattr(semantics, "ENTRY_BUDGET", 10)
+    sig = parse_signature(PARE_SIG)
+    record = _check_and_replay(tmp_path, sig, parse_term(PARE_WORD_1, sig),
+                               parse_term(PARE_WORD_2, sig))
+    assert record["notes"][:-1] == [
+        "no witness at dimensions [2] after 2 trials",
+        "no witness at dimensions [3]: a random interpretation at these "
+        "dimensions needs 18 matrix entries, over the budget of 10",
+        "witness found at dimensions [6] (completeness construction, trial 0)",
+    ]
+    assert record["witness"]["dims"] == {"X": 6}

@@ -349,6 +349,28 @@ def test_find_witness_plans_each_diagram_once(monkeypatch):
     assert built == [n, m]
 
 
+def test_one_plan_per_diagram_serves_every_dimension(monkeypatch):
+    built = []
+
+    class Counting(semantics.Contraction):
+        def __init__(self, d, space):
+            built.append(d)
+            super().__init__(d, space)
+
+    monkeypatch.setattr(semantics, "Contraction", Counting)
+    monkeypatch.setattr(semantics, "ESCALATION", (2,))
+    sig = parse_signature("object X\nmorphism a : X -> X\nmorphism b : X -> X")
+    word = "aababbb"
+    n, m = (compile_term(parse_term("tr[X](" + " ; ".join(w) + ")", sig), sig)
+            for w in (word, word[::-1]))
+    notes = []
+    w = find_witness(n, m, None, gauss, on_miss=notes.append)
+    # Dimension 2 misses; the construction, at X = 7 wires, separates.
+    assert notes == ["no witness at dimensions [2] after 2 trials"]
+    assert w.construction and w.interpretation.space == {X: 7}
+    assert built == [n, m]
+
+
 def _matmul(p, q, dim):
     return {(i, k): sum((p[(i, j)] * q[(j, k)] for j in range(dim)), gauss.zero)
             for i in range(dim) for k in range(dim)}
@@ -464,6 +486,19 @@ def test_interpretation_text_round_trip_float():
     again = parse_interpretation(interpretation_to_text(interp), sig, ring)
     h = sig.morphism("h")
     assert again.matrix[h].entries == interp.matrix[h].entries
+
+
+def test_a_zero_matrix_writes_one_zero_entry():
+    sig = parse_signature("object A\nmorphism h : A -> A\nmorphism s : I -> I")
+    h, s = sig.morphism("h"), sig.morphism("s")
+    matrix = {f: Tensor((2,) * len(f.cod), (2,) * len(f.dom), {})
+              for f in (h, h.dagger(), s, s.dagger())}
+    text = interpretation_to_text(Interpretation(gauss, {A: 2}, matrix))
+    assert text == ("dim A = 2\nh[0|0] = 0+0i\nh\u2020[0|0] = 0+0i\n"
+                    "s[|] = 0+0i\ns\u2020[|] = 0+0i\n")
+    again = parse_interpretation(text, sig, gauss)
+    assert set(again.matrix) == set(matrix)
+    assert all(again.matrix[f].equal(t, gauss) for f, t in matrix.items())
 
 
 def test_witness_files_replay_to_the_same_values(pare):

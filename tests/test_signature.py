@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from daggereq import signature
 from daggereq import (
     MorphismVar,
     ObjectVar,
@@ -104,6 +105,22 @@ def test_duplicate_morphism_error_names_its_line():
     text = "object A\nmorphism f : A -> A\nmorphism f : A -> A x A\nmorphism g : A -> A\n"
     with pytest.raises(ParseError, match=r"\A3: duplicate name 'f'\Z"):
         parse_signature(text)
+
+
+def test_parsing_validates_each_morphism_once(monkeypatch):
+    calls = []
+    check = signature._check_morphism
+
+    def counting(f, *args):
+        calls.append(f.name)
+        check(f, *args)
+
+    monkeypatch.setattr(signature, "_check_morphism", counting)
+    parse_signature("object A\nmorphism f : A -> A\nmorphism g : A -> A x A\n")
+    assert calls == ["f", "g"]
+    calls.clear()
+    Signature("traced-monoidal", (A,), (MorphismVar("f", Sort.of(A), Sort.of(A)),))
+    assert calls == ["f"]
 
 
 def test_traced_kind_rejects_stars():
