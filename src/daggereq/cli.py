@@ -62,7 +62,7 @@ class _Report:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except UnicodeDecodeError as exc:
+    except ValueError as exc:  # undecodable, or a NUL in a 'use' path
         raise DaggereqError(f"{path}: {exc}") from None
 
 
@@ -304,13 +304,15 @@ def main(argv: list[str] | None = None) -> int:
     except (DaggereqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # only the parser recurses, once per bracket
-        print("error: term nested too deeply", file=sys.stderr)
-        return 2
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+    except Exception as exc:  # a fault nothing reports: one line, not a traceback
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -48,7 +48,11 @@ class GaussianInt:
         return complex(self.re, self.im)
 
     def __str__(self) -> str:
-        return f"{self.re}{self.im:+d}i"
+        try:
+            return f"{self.re}{self.im:+d}i"
+        except ValueError:  # past Python's limit on long int-to-str; decimal has none
+            import decimal
+            return f"{decimal.Decimal(self.re)}{decimal.Decimal(self.im):+}i"
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
@@ -234,6 +238,10 @@ class ScalarRing:
     def is_zero(self, a) -> bool:
         return self.eq(a, self.zero)
 
+    def is_finite(self, a) -> bool:
+        """False for a value that shows nothing, such as a float overflow."""
+        return True
+
     def sample(self, rng):
         """A random element, used for witness search."""
         raise NotImplementedError(f"ring {self.name} has no random elements")
@@ -266,7 +274,9 @@ class GaussianIntegerRing(ScalarRing):
         m = _GAUSS_RE.match(text)
         if not m:
             raise ParseError(f"bad Gaussian integer {text!r}")
-        return GaussianInt(int(m.group(1)), int(m.group(2).replace(" ", "")))
+        import decimal  # int() has a limit on long decimals, as in __str__
+        return GaussianInt(*(int(decimal.Decimal(part)) for part in
+                             (m.group(1), m.group(2).replace(" ", ""))))
 
 
 class ComplexFloatRing(ScalarRing):
@@ -284,6 +294,10 @@ class ComplexFloatRing(ScalarRing):
 
     def eq(self, a: complex, b: complex) -> bool:
         return abs(a - b) <= self.tolerance * max(1.0, abs(a), abs(b))
+
+    def is_finite(self, a: complex) -> bool:
+        inf = float("inf")
+        return -inf < a.real < inf and -inf < a.imag < inf  # false for nan
 
     def sample(self, rng, magnitude: int = 1) -> complex:
         return complex(rng.uniform(-magnitude, magnitude),

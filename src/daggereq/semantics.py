@@ -720,10 +720,11 @@ def find_witness(n: Diagram, m: Diagram,
     once per dimension.  Every candidate is re-checked with the
     independent sweep evaluator before it is reported, and the reported
     values are the sweep's.  Values are compared with ``ring.eq``, so
-    over floats the ring's tolerance decides.  On an exact ring the two
-    evaluators must agree.  ``on_miss`` receives a note for each
-    dimension, or the construction, that gave no witness, with the
-    number of trials run there.
+    over floats the ring's tolerance decides, and a value that overflowed
+    to inf or nan separates nothing.  On an exact ring the two evaluators
+    must agree.  ``on_miss`` receives a note for each dimension, or the
+    construction, that gave no witness, with the number of trials run
+    there and how many of them gave non-finite values.
     """
     sig = _signature_of((n, m))
     magnitude = sample_magnitude(max(n.n_boxes, m.n_boxes)) if ring.exact else None
@@ -743,6 +744,7 @@ def find_witness(n: Diagram, m: Diagram,
                 if on_miss is not None:
                     on_miss(f"no witness {where}: {over}")
                 continue
+        overflows = 0
         for trial in range(trials):
             trial_seed = seed * 1_000_003 + trial
             if stage_dims is None:
@@ -763,10 +765,14 @@ def find_witness(n: Diagram, m: Diagram,
                 raise DaggereqError("evaluator mismatch on an exact ring")
             if ring.eq(sa, sb):
                 continue
+            if not (ring.is_finite(sa) and ring.is_finite(sb)):
+                overflows += 1
+                continue
             return Witness(trial, trial_seed, interp, sa, sb,
                            construction=stage_dims is None)
         if on_miss is not None:
-            on_miss(f"no witness {where} after {trials} trials")
+            why = f", {overflows} of them with non-finite values" if overflows else ""
+            on_miss(f"no witness {where} after {trials} trials{why}")
     return None
 
 

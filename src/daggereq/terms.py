@@ -12,7 +12,7 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Union
+from typing import Any, Callable, Union
 
 from .errors import ParseError, TypeCheckError
 from .signature import (
@@ -267,173 +267,143 @@ def _text(t: Term, args: list[tuple[int, deque[str]]]) -> tuple[int, deque[str]]
 
 # -- parsing -----------------------------------------------------------
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int  # offset into the source
-
-
-# A comment ends at any line boundary ``str.splitlines`` knows, as the
-# lines of a term file do for ``use_path``.
+# One match per token: the whitespace and comments before it, then a
+# name, one other character (punctuation, or a bad one no rule accepts)
+# or, at the end of the input, nothing.  A comment ends at any line
+# boundary ``str.splitlines`` knows, as term file lines do for use_path.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*(?:†)?)"
-    r"|(?P<punct>[;()\[\],*])"
-    r"|(?P<bad>.)"
-)
-
-
-def _error(message: str, src: str, pos: int) -> ParseError:
-    """A :class:`ParseError` at the line and column of offset ``pos``."""
-    line = src.count("\n", 0, pos) + 1
-    return ParseError(message, line, pos - src.rfind("\n", 0, pos))
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        if kind in ("name", "punct"):
-            text = m.group()
-            tokens.append(_Token("name" if kind == "name" else text, text, m.start()))
-        elif kind == "bad":
-            raise _error(f"unexpected character {m.group()!r}", src, m.start())
-    tokens.append(_Token("eof", "", len(src)))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over the token list.
-
-    Precedence: ``;`` binds loosest, then ``x``; both associate to the
-    left.  The keyword ``x`` doubles as the tensor operator.
-    """
-
-    def __init__(self, src: str, sig: Signature):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-        self.sig = sig
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise _error(f"expected {kind!r}, got {shown!r}", self.src, tok.pos)
-        return tok
-
-    def fail(self, message: str) -> ParseError:
-        return _error(message, self.src, self.peek().pos)
-
-    def parse(self) -> Term:
-        t = self.composition()
-        if self.peek().kind != "eof":
-            raise self.fail(f"trailing input {self.peek().text!r}")
-        return t
-
-    def composition(self) -> Term:
-        t = self.tensor()
-        while self.peek().kind == ";":
-            self.next()
-            t = Compose(t, self.tensor())
-        return t
-
-    def tensor(self) -> Term:
-        t = self.atom()
-        while self.peek().kind == "name" and self.peek().text == "x":
-            self.next()
-            t = Tensor(t, self.atom())
-        return t
-
-    def atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            t = self.composition()
-            self.expect(")")
-            return t
-        if tok.kind != "name":
-            raise self.fail(f"expected a term, got {tok.text or 'end of input'!r}")
-        word = tok.text
-        if word == "id":
-            self.next()
-            return Id(self.bracket_sort())
-        if word == "sym":
-            self.next()
-            self.expect("[")
-            left = self.sort(stop={",", "]"})
-            self.expect(",")
-            right = self.sort(stop={"]"})
-            self.expect("]")
-            return Symmetry(left, right)
-        if word == "tr":
-            self.next()
-            over = self.bracket_sort()
-            self.expect("(")
-            body = self.composition()
-            self.expect(")")
-            return Trace(over, body)
-        if word == "dagger":
-            self.next()
-            self.expect("(")
-            body = self.composition()
-            self.expect(")")
-            return Dagger(body)
-        if word in ("eta", "eps"):
-            self.next()
-            self.expect("[")
-            obj = self.signed_object()
-            self.expect("]")
-            return Unit(obj) if word == "eta" else Counit(obj)
-        if word in RESERVED_NAMES:
-            raise self.fail(f"unexpected keyword {word!r}")
-        if not self.sig.has_morphism(word):
-            raise self.fail(f"unknown morphism {word!r}")
-        self.next()
-        return Var(word)
-
-    def bracket_sort(self) -> Sort:
-        self.expect("[")
-        s = self.sort(stop={"]"})
-        self.expect("]")
-        return s
-
-    def signed_object(self) -> SignedObject:
-        tok = self.expect("name")
-        if not self.sig.has_object(tok.text):
-            raise _error(f"unknown object {tok.text!r}", self.src, tok.pos)
-        starred = False
-        if self.peek().kind == "*":
-            self.next()
-            starred = True
-        return SignedObject(self.sig.object(tok.text), starred)
-
-    def sort(self, stop: set[str]) -> Sort:
-        tok = self.peek()
-        if tok.kind == "name" and tok.text == "I":
-            self.next()
-            return Sort.unit()
-        factors = [self.signed_object()]
-        while self.peek().kind == "name" and self.peek().text == "x":
-            self.next()
-            factors.append(self.signed_object())
-        if self.peek().kind not in stop:
-            raise self.fail(f"unexpected {self.peek().text!r} in sort")
-        return Sort(tuple(factors))
+    r"((?:\s+|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)*)"
+    r"([A-Za-z_][A-Za-z0-9_']*(?:†)?|.|)", re.S)
+_BAD_RE = re.compile(r"[^A-Za-z_;()\[\],*]")
+# ``tok in _PUNCT`` is true for punctuation and the empty end token.
+_PUNCT = ";()[],*"
 
 
 def parse_term(src: str, sig: Signature) -> Term:
-    """Parse a term; names are resolved against ``sig`` while parsing."""
-    return _Parser(src, sig).parse()
+    """Parse a term; names are resolved against ``sig`` while parsing.
+
+    One ``findall`` of :data:`_TOKEN_RE` cuts ``src`` into tokens, and
+    one loop reads them with a stack of the brackets still open, ``(``,
+    ``tr[S](`` and ``dagger(``, so depth is limited by memory.  ``;``
+    binds loosest, then ``x``; both associate to the left.  The keyword
+    ``x`` doubles as the tensor operator.  Each distinct leaf text, such
+    as ``id[A x B]`` or ``f``, is read once per parse, and so is each
+    sort and signed object: equal ones are one object.
+    """
+    pairs = _TOKEN_RE.findall(src)
+    # A "]" past the end token, so that every search for one finds it.
+    toks = [tok for _, tok in pairs] + ["]"]
+    objects: dict = {}  # (name, starred) -> SignedObject
+    sorts: dict = {}  # the sort's tokens -> Sort
+    leaves: dict = {}  # the leaf's tokens -> (its value, its length)
+
+    def fail(k: int, message: str) -> ParseError:
+        """The error at token ``k``, or at the first bad character if there
+        is one, which comes first; offsets are counted only here."""
+        pos = at = 0
+        for i, (skip, tok) in enumerate(pairs):
+            pos += len(skip)
+            if _BAD_RE.match(tok):
+                message, at = f"unexpected character {tok!r}", pos
+                break
+            if i == k:
+                at = pos
+            pos += len(tok)
+        return ParseError(message, src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at))
+
+    def expect(i: int, want: str) -> int:
+        if toks[i] != want:
+            raise fail(i, f"expected {want!r}, got {toks[i] or 'end of input'!r}")
+        return i + 1
+
+    def signed(i: int) -> tuple[SignedObject, int]:
+        name = toks[i]
+        if name in _PUNCT:
+            raise fail(i, f"expected 'name', got {name or 'end of input'!r}")
+        if not sig.has_object(name):
+            raise fail(i, f"unknown object {name!r}")
+        starred = toks[i + 1] == "*"
+        obj = SignedObject(sig.object(name), starred)
+        return objects.setdefault((name, starred), obj), i + 1 + starred
+
+    def sort(i: int, stops: tuple[str, ...]) -> tuple[Sort, int]:
+        start, factors = i, []
+        if toks[i] == "I":
+            i += 1
+        else:
+            factor, i = signed(i)
+            factors.append(factor)
+            while toks[i] == "x":
+                factor, i = signed(i + 1)
+                factors.append(factor)
+            if toks[i] not in stops:
+                raise fail(i, f"unexpected {toks[i]!r} in sort")
+        return sorts.setdefault(tuple(toks[start:i]), Sort(tuple(factors))), i
+
+    def read(i: int) -> tuple[Any, int]:
+        """The leaf term, trace sort or ``Dagger`` at ``i``, and the index after."""
+        word = toks[i]
+        if word in ("id", "tr"):
+            s, i = sort(expect(i + 1, "["), ("]",))
+            return (Id(s) if word == "id" else s), expect(i, "]")
+        if word == "sym":
+            left, i = sort(expect(i + 1, "["), (",", "]"))
+            right, i = sort(expect(i, ","), ("]",))
+            return Symmetry(left, right), expect(i, "]")
+        if word in ("eta", "eps"):
+            obj, i = signed(expect(i + 1, "["))
+            return (Unit(obj) if word == "eta" else Counit(obj)), expect(i, "]")
+        if word == "dagger":
+            return Dagger, i + 1
+        if word in _PUNCT:
+            raise fail(i, f"expected a term, got {word or 'end of input'!r}")
+        if word in RESERVED_NAMES:
+            raise fail(i, f"unexpected keyword {word!r}")
+        if not sig.has_morphism(word):
+            raise fail(i, f"unknown morphism {word!r}")
+        return Var(word), i + 1
+
+    def leaf(i: int) -> tuple[Any, int]:
+        """:func:`read`, once per distinct text."""
+        key = toks[i]
+        if key in ("id", "sym", "tr", "eta", "eps"):
+            key = tuple(toks[i:toks.index("]", i)])
+        if key not in leaves:
+            value, end = read(i)
+            leaves[key] = value, end - i
+        value, length = leaves[key]
+        return value, i + length
+
+    stack: list[tuple[Any, Any, Any]] = []  # (wrap, composite, tensor) per open bracket
+    comp = tens = None
+    i = 0
+    while True:
+        if toks[i] in ("(", "dagger", "tr"):
+            wrap, i = (None, i) if toks[i] == "(" else leaf(i)
+            stack.append((wrap, comp, tens))
+            comp = tens = None
+            i = expect(i, "(")
+            continue
+        t, i = leaf(i)
+        while True:  # t is an operand; read the operator after it
+            tens = t if tens is None else Tensor(tens, t)
+            tok = toks[i]
+            if tok == "x":
+                break
+            comp = tens if comp is None else Compose(comp, tens)
+            tens = None
+            if tok == ";":
+                break
+            if not stack:
+                if tok:
+                    raise fail(i, f"trailing input {tok!r}")
+                return comp
+            if tok != ")":
+                raise fail(i, f"expected ')', got {tok or 'end of input'!r}")
+            body, (wrap, comp, tens) = comp, stack.pop()
+            t = body if wrap is None else Dagger(body) if wrap is Dagger else Trace(wrap, body)
+            i += 1
+        i += 1
 
 
 def _split_use(text: str) -> tuple[str | None, str]:

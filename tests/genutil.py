@@ -6,17 +6,22 @@ definition directly.  ``code_classes_all_roots`` is the canonical-code
 scan without orbit pruning, which walks every candidate root.
 ``type_check_recursive`` and ``term_to_text_recursive`` are the term
 walks written by plain recursion, the oracles for the library's single
-explicit-stack walk.
+explicit-stack walk.  ``parse_term_recursive`` is the recursive-descent
+parser over a token list, the oracle for the library's one-pass
+tokenizer and explicit-stack parser.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter
+from typing import NamedTuple
 
 from daggereq import (
     Diagram,
+    ParseError,
     TypeCheckError,
     MorphismVar,
     ObjectVar,
@@ -26,7 +31,7 @@ from daggereq import (
     declare_morphism,
 )
 from daggereq import terms as tm
-from daggereq.signature import TRACED_MONOIDAL
+from daggereq.signature import RESERVED_NAMES, TRACED_MONOIDAL
 from daggereq.diagram import _walk
 
 
@@ -434,3 +439,176 @@ def random_untyped_term(rng: random.Random, sig: Signature, steps: int = 8) -> t
         else:
             pool.append(tm.Trace(random_sort(), t))
     return pool[-1]
+
+
+# -- the recursive parser ------------------------------------------------
+
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    pos: int  # offset into the source
+
+
+# A comment ends at any line boundary ``str.splitlines`` knows, as the
+# lines of a term file do for ``use_path``.
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<comment>#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*(?:†)?)"
+    r"|(?P<punct>[;()\[\],*])"
+    r"|(?P<bad>.)"
+)
+
+
+def _error(message: str, src: str, pos: int) -> ParseError:
+    """A :class:`ParseError` at the line and column of offset ``pos``."""
+    line = src.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - src.rfind("\n", 0, pos))
+
+
+def _tokenize(src: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind in ("name", "punct"):
+            text = m.group()
+            tokens.append(_Token("name" if kind == "name" else text, text, m.start()))
+        elif kind == "bad":
+            raise _error(f"unexpected character {m.group()!r}", src, m.start())
+    tokens.append(_Token("eof", "", len(src)))
+    return tokens
+
+
+class _Parser:
+    """Recursive descent over the token list.
+
+    Precedence: ``;`` binds loosest, then ``x``; both associate to the
+    left.  The keyword ``x`` doubles as the tensor operator.
+    """
+
+    def __init__(self, src: str, sig: Signature):
+        self.src = src
+        self.tokens = _tokenize(src)
+        self.pos = 0
+        self.sig = sig
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.next()
+        if tok.kind != kind:
+            shown = tok.text or "end of input"
+            raise _error(f"expected {kind!r}, got {shown!r}", self.src, tok.pos)
+        return tok
+
+    def fail(self, message: str) -> ParseError:
+        return _error(message, self.src, self.peek().pos)
+
+    def parse(self) -> tm.Term:
+        t = self.composition()
+        if self.peek().kind != "eof":
+            raise self.fail(f"trailing input {self.peek().text!r}")
+        return t
+
+    def composition(self) -> tm.Term:
+        t = self.tensor()
+        while self.peek().kind == ";":
+            self.next()
+            t = tm.Compose(t, self.tensor())
+        return t
+
+    def tensor(self) -> tm.Term:
+        t = self.atom()
+        while self.peek().kind == "name" and self.peek().text == "x":
+            self.next()
+            t = tm.Tensor(t, self.atom())
+        return t
+
+    def atom(self) -> tm.Term:
+        tok = self.peek()
+        if tok.kind == "(":
+            self.next()
+            t = self.composition()
+            self.expect(")")
+            return t
+        if tok.kind != "name":
+            raise self.fail(f"expected a term, got {tok.text or 'end of input'!r}")
+        word = tok.text
+        if word == "id":
+            self.next()
+            return tm.Id(self.bracket_sort())
+        if word == "sym":
+            self.next()
+            self.expect("[")
+            left = self.sort(stop={",", "]"})
+            self.expect(",")
+            right = self.sort(stop={"]"})
+            self.expect("]")
+            return tm.Symmetry(left, right)
+        if word == "tr":
+            self.next()
+            over = self.bracket_sort()
+            self.expect("(")
+            body = self.composition()
+            self.expect(")")
+            return tm.Trace(over, body)
+        if word == "dagger":
+            self.next()
+            self.expect("(")
+            body = self.composition()
+            self.expect(")")
+            return tm.Dagger(body)
+        if word in ("eta", "eps"):
+            self.next()
+            self.expect("[")
+            obj = self.signed_object()
+            self.expect("]")
+            return tm.Unit(obj) if word == "eta" else tm.Counit(obj)
+        if word in RESERVED_NAMES:
+            raise self.fail(f"unexpected keyword {word!r}")
+        if not self.sig.has_morphism(word):
+            raise self.fail(f"unknown morphism {word!r}")
+        self.next()
+        return tm.Var(word)
+
+    def bracket_sort(self) -> Sort:
+        self.expect("[")
+        s = self.sort(stop={"]"})
+        self.expect("]")
+        return s
+
+    def signed_object(self) -> SignedObject:
+        tok = self.expect("name")
+        if not self.sig.has_object(tok.text):
+            raise _error(f"unknown object {tok.text!r}", self.src, tok.pos)
+        starred = False
+        if self.peek().kind == "*":
+            self.next()
+            starred = True
+        return SignedObject(self.sig.object(tok.text), starred)
+
+    def sort(self, stop: set[str]) -> Sort:
+        tok = self.peek()
+        if tok.kind == "name" and tok.text == "I":
+            self.next()
+            return Sort.unit()
+        factors = [self.signed_object()]
+        while self.peek().kind == "name" and self.peek().text == "x":
+            self.next()
+            factors.append(self.signed_object())
+        if self.peek().kind not in stop:
+            raise self.fail(f"unexpected {self.peek().text!r} in sort")
+        return Sort(tuple(factors))
+
+
+def parse_term_recursive(src: str, sig: Signature) -> tm.Term:
+    """A term read by recursive descent over a list of tokens, or
+    :class:`ParseError`.  Brackets nest as deep as the stack allows."""
+    return _Parser(src, sig).parse()
+

@@ -408,11 +408,15 @@ def test_the_parser_is_built_once():
     assert _build_parser() is _build_parser()
 
 
-def test_brackets_nested_past_the_stack_exit_two(tmp_path, capsys):
+@pytest.mark.parametrize("opener", ["(", "dagger("], ids=["paren", "dagger"])
+def test_100k_nested_brackets_check_equal(tmp_path, capsys, opener):
+    # The parser keeps its own stack of open brackets, so depth is
+    # limited by memory, not by Python's recursion limit.
     sig = write(tmp_path, "sig.txt", "object A\nmorphism h : A -> A\n")
-    deep = write(tmp_path, "deep.term", "tr[A](dagger(" * 400 + "h" + "))" * 400 + "\n")
-    assert main(["check", "--sig", sig, deep, deep]) == 2
-    assert capsys.readouterr().err == "error: term nested too deeply\n"
+    n = 100_000
+    deep = write(tmp_path, "deep.term", "tr[A](" + opener * n + "h" + ")" * n + ")\n")
+    assert main(["check", "--sig", sig, deep, deep]) == 0
+    assert capsys.readouterr().out.startswith("verdict: equal\n")
 
 
 def test_a_10k_layer_chain_checks_equal(tmp_path, capsys):
@@ -479,6 +483,113 @@ def test_mutated_term_files_exit_zero_one_or_two(seed, command):
             code = main(argv)
     assert code in (0, 1, 2)
     assert err.getvalue() == "" or err.getvalue().startswith("error: ")
+
+
+def _mutate_bytes(data: bytes, rng: random.Random) -> bytes:
+    """One to three byte-level edits of ``data``: a flipped bit, an
+    inserted NUL, 0xff, '†' or carriage return, a truncation or a
+    duplicated span."""
+    for _ in range(rng.randint(1, 3)):
+        i, j = sorted(rng.randrange(len(data) + 1) for _ in range(2))
+        op = rng.randrange(4)
+        if op == 0 and i < len(data):
+            data = data[:i] + bytes([data[i] ^ 1 << rng.randrange(8)]) + data[i + 1:]
+        elif op == 1:
+            data = data[:i] + rng.choice([b"\0", b"\xff", "†".encode(), b"\r"]) + data[i:]
+        elif op == 2:
+            data = data[:i]
+        else:
+            data = data[:i] + data[i:j] * 2 + data[j:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(["check", "iso-count", "poly", "export"]),
+       st.sampled_from(["text", "json"]))
+def test_mutated_term_bytes_exit_zero_one_or_two(seed, command, fmt):
+    # The byte-level sibling of the test above: term files, their 'use'
+    # line included, with bytes that may not decode or may not tokenize.
+    # Every outcome is a verdict or one error line; export may add its
+    # note that it closed the term.
+    rng = random.Random(seed)
+    sig = genutil.starred_signature()
+    t = genutil.random_term(rng, sig, steps=rng.randint(1, 5))
+    u = (genutil.rebracket(t, rng, sig) if rng.random() < 0.5
+         else genutil.random_term(rng, sig, steps=rng.randint(1, 5)))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "sig.sig").write_text(signature_to_text(sig))
+        names = []
+        for name, term in (("a.term", t), ("b.term", u)):
+            data = ("use sig.sig\n" + term_to_text(term) + "\n").encode()
+            (Path(tmp) / name).write_bytes(_mutate_bytes(data, rng))
+            names.append(str(Path(tmp) / name))
+        argv = [command, *names[:1 if command == "export" else 2], "--format", fmt]
+        argv += ["--trials", "2"] if command == "check" else []
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert [line for line in lines if not line.startswith("error: ")] in (
+        [], ["note: term was closed with fresh variables"])
+    assert sum(line.startswith("error: ") for line in lines) <= 1
+
+
+def test_a_nul_in_a_use_path_is_bad_input(tmp_path, capsys):
+    a = tmp_path / "a.term"
+    a.write_bytes(b"use s\0.sig\nf\n")
+    assert main(["check", str(a), str(a)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(": embedded null byte\n")
+
+
+def test_run_reports_an_unexpected_fault_in_one_line(monkeypatch, capsys):
+    # main() lets faults it does not know through, so that a caller's
+    # own exceptions propagate; the process entry turns them into exit 2.
+    from daggereq import cli
+
+    def broken(argv=None):
+        raise RuntimeError("boom\nmore")
+
+    monkeypatch.setattr(cli, "main", broken)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: internal error: RuntimeError('boom\\nmore')\n"
+
+
+def _reverse_word_files(tmp_path, letters: int, seed: int) -> tuple[str, str, str]:
+    """A signature and two trace words of ``letters`` letters, one the
+    reverse of the other; they are unequal unless the word is a rotation
+    of its reverse."""
+    rng = random.Random(seed)
+    word = [rng.choice("ab") for _ in range(letters)]
+    sig = write(tmp_path, "sig.txt", PARE_SIG)
+    a = write(tmp_path, "a.term", "tr[X](" + " ; ".join(word) + ")\n")
+    b = write(tmp_path, "b.term", "tr[X](" + " ; ".join(reversed(word)) + ")\n")
+    return sig, a, b
+
+
+def test_values_past_the_int_digit_limit_print_and_replay(tmp_path, capsys):
+    # 80 letters make values of about 700 digits, past the least limit
+    # on int-to-str conversion that Python allows.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python has no limit on int-to-str conversions")
+    sig_path, a, b = _reverse_word_files(tmp_path, 80, seed=4)
+    sig = parse_signature(PARE_SIG)
+    t1, t2 = (parse_term(Path(p).read_text(), sig) for p in (a, b))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["check", "--sig", sig_path, a, b]) == 1
+        out = capsys.readouterr().out
+        record = _check_and_replay(tmp_path, sig, t1, t2)
+        values = [gauss.parse(record[key]) for key in ("value_a", "value_b")]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert f"value of A: {record['value_a']}\n" in out
+    assert max(len(record["value_a"]), len(record["value_b"])) > 640
+    assert [gauss.format(v) for v in values] == [record["value_a"], record["value_b"]]
 
 
 def _check_and_replay(tmp_path, sig, t1, t2, flags=()):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -465,6 +466,46 @@ def test_witness_over_floats_uses_relative_comparison(pare):
     w = find_witness(d1, d2, 3, ring, trials=50, seed=0)
     assert w is not None
     assert abs(complex(w.value_a) - complex(w.value_b)) > 1e-6
+
+
+class _OverflowingRing(ComplexFloatRing):
+    """Floats sampled with parts of +-1e300, whose products overflow."""
+
+    def sample(self, rng, magnitude=1):
+        return complex(rng.choice((-1e300, 1e300)), rng.choice((-1e300, 1e300)))
+
+
+def test_non_finite_values_are_no_witness(pare):
+    # Every value overflows to inf or nan.  Those compare unequal, but
+    # they show no difference, so every trial is a miss and says why.
+    sig, t1, t2 = pare
+    d1, d2 = compile_term(t1, sig), compile_term(t2, sig)
+    ring = _OverflowingRing()
+    assert not ring.is_finite(complex(float("nan"), 0))
+    assert not ring.is_finite(complex(0, float("-inf")))
+    assert ring.is_finite(complex(1e300, -1e300))
+    notes = []
+    assert find_witness(d1, d2, None, ring, trials=3, on_miss=notes.append) is None
+    assert notes == [
+        f"no witness {where} after 3 trials, 3 of them with non-finite values"
+        for where in ("at dimensions [2]", "at dimensions [3]",
+                      "from the completeness construction")]
+
+
+def test_long_gaussian_integers_format_and_parse_past_the_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python has no limit on int-to-str conversions")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for value in (GaussianInt(7 ** 2000, -(3 ** 1500)), GaussianInt(-(10 ** 700), 0),
+                      GaussianInt(12, -5)):
+            text = gauss.format(value)
+            assert gauss.parse(text) == value
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == "12-5i"
+    assert gauss.format(GaussianInt(-(10 ** 700), 0)) == "-1" + "0" * 700 + "+0i"
 
 
 def test_interpretation_text_round_trip():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +187,70 @@ def test_print_parse_round_trip_on_random_terms(seed, starred):
     text = term_to_text(t)
     assert parse_term(text, sig) == t
     assert parse_term(term_to_text(parse_term(text, sig)), sig) == t
+
+
+# A printed term cut into pieces: whitespace, a comment, a name or one
+# character.  The mutations below edit these pieces.
+_PIECE = re.compile(r"\s+|#[^\n]*|[A-Za-z_][A-Za-z0-9_']*†?|.", re.S)
+_BAD_CHARS = ["@", "3", "†", "é", "'", "\x00", "$", "."]
+_SYNTAX = ["(", ")", ";", "x", "dagger", "tr", "id", "sym", "eta", "eps", "[", "]", ",",
+           "*", "I", "A", "B", "f", "k†", "h", "nope", "use", "\n", " # c\n", "\r\n"]
+
+
+def _mutate_tokens(text: str, rng: random.Random) -> str:
+    """``text`` with one token deleted, duplicated or swapped with
+    another, or with a bad character or a piece of syntax inserted."""
+    pieces = _PIECE.findall(text)
+    k, other = rng.randrange(len(pieces)), rng.randrange(len(pieces))
+    op = rng.randrange(5)
+    if op == 0:
+        del pieces[k]
+    elif op == 1:
+        pieces.insert(k, pieces[k])
+    elif op == 2:
+        pieces[k], pieces[other] = pieces[other], pieces[k]
+    else:
+        pieces.insert(k, rng.choice(_BAD_CHARS if op == 3 else _SYNTAX))
+    return "".join(pieces)
+
+
+def _parsed(parse, text, sig):
+    """The printed tree, or the error's message, line and column.
+    Trees are compared printed: ``==`` on deep terms recurses."""
+    try:
+        return term_to_text(parse(text, sig))
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9), st.booleans(), st.integers(0, 3))
+def test_the_parser_agrees_with_recursive_descent(seed, starred, mutations):
+    # Printed random terms, well typed or not, and token-level mutants
+    # of them: the explicit-stack parser and the recursive oracle build
+    # the same tree or raise the same error at the same place.
+    rng = random.Random(seed)
+    sig = genutil.starred_signature() if starred else genutil.gen_signature()
+    typed = rng.random() < 0.7
+    make = genutil.random_term if typed else genutil.random_untyped_term
+    printed = text = term_to_text(make(rng, sig, steps=rng.randint(1, 12)))
+    for _ in range(mutations):
+        text = _mutate_tokens(text, rng)
+    expected = _parsed(genutil.parse_term_recursive, text, sig)
+    assert _parsed(parse_term, text, sig) == expected
+    if typed and mutations == 0:
+        assert expected == printed
+
+
+def test_equal_sorts_and_objects_are_one_object():
+    # Within one parse, equal leaves, sorts and signed objects are shared.
+    sig = genutil.starred_signature()
+    t = parse_term("tr[D](id[A x D*] x eta[D*] ; id[A x D*] x sym[D*,D] x id[I])", sig)
+    ids, eta = t.body.first.left, t.body.first.right
+    sym = t.body.then.left.right
+    assert t.body.then.left.left is ids
+    assert eta.obj is ids.sort.factors[1] is sym.left.factors[0]
+    assert t.over is sym.right
 
 
 def test_parse_term_file_with_use_line():
