@@ -26,20 +26,18 @@ from . import diagram as dg
 from . import semantics as sm
 from . import terms as tm
 from .errors import DaggereqError, ParseError
-from .scalars import make_ring
+from .scalars import DEFAULT_TOLERANCE, make_ring
 from .signature import Signature, parse_signature
 
 DEFAULT_SEED = 0
-DEFAULT_TOLERANCE = 1e-9
 DEFAULT_DIM = 3
 
 
 class _Report:
     """Collects output lines and a json record side by side."""
 
-    def __init__(self, as_json: bool, out=None):
+    def __init__(self, as_json: bool):
         self.as_json = as_json
-        self.out = out or sys.stdout
         self.record: dict = {}
         self.lines: list[str] = []
 
@@ -53,10 +51,10 @@ class _Report:
 
     def emit(self) -> None:
         if self.as_json:
-            print(json.dumps(self.record, indent=2), file=self.out)
+            print(json.dumps(self.record, indent=2))
         else:
             for line in self.lines:
-                print(line, file=self.out)
+                print(line)
 
 
 def _read(path: str) -> str:
@@ -75,11 +73,27 @@ def _load_signature(path: str) -> Signature:
 
 
 def _load_terms(args, names: list[str]) -> tuple[Signature, list[tm.Term]]:
+    """The signature (``--sig``, else the first ``use`` line; a later one
+    that loads must agree, each path parsed once) and the terms."""
     sig = _load_signature(args.sig) if args.sig else None
     texts = [_read(name) for name in names]
-    for name, text in zip(names, texts):
-        if sig is None and (path := tm.use_path(text)) is not None:
-            sig = _load_signature(str(Path(name).parent / path))
+    uses = [] if args.sig else [
+        (name, str(Path(name).parent / path)) for name, text in zip(names, texts)
+        if (path := tm.use_path(text)) is not None]
+    loaded: dict[str, Signature] = {}
+    for name, path in uses:
+        if path not in loaded:
+            try:
+                loaded[path] = _load_signature(path)
+            except (DaggereqError, OSError):
+                if sig is None:
+                    raise
+                continue  # the first use line serves this file too
+        if sig is None:
+            sig = loaded[path]
+        elif loaded[path] != sig:
+            raise DaggereqError(f"{uses[0][0]} and {name} use different "
+                                f"signatures: {uses[0][1]} and {path}")
     if sig is None:
         raise DaggereqError(
             "no signature: pass --sig or put a 'use PATH' line in a term file")
@@ -160,11 +174,14 @@ def cmd_check(args) -> int:
 
     if result.equal:
         iso = result.isomorphism
-        report.record["isomorphism"] = _iso_text(iso)
-        report.lines.append("isomorphism boxes: " + " ".join(
-            f"b{b}->b{c}" for b, c in enumerate(iso.box_map)))
-        report.lines.append("isomorphism wires: " + " ".join(
-            f"w{w}->w{v}" for w, v in enumerate(iso.wire_map)))
+        if not iso.verify(result.diagram_a, result.diagram_b):
+            report.note("cross-check failed: the printed isomorphism does not verify")
+            report.emit()
+            return 2
+        report.record["isomorphism"] = maps = _iso_text(iso)
+        for part, pairs in maps.items():
+            report.lines.append(f"isomorphism {part}: " + " ".join(
+                f"{x}->{y}" for x, y in pairs.items()))
         report.emit()
         return 0
 
@@ -178,10 +195,9 @@ def cmd_check(args) -> int:
         how = "completeness construction, " if witness.construction else ""
         report.note(f"witness found at dimensions {used} ({how}trial {witness.trial})")
         text = sm.interpretation_to_text(witness.interpretation)
-        report.field("value_a", ring.format(witness.value_a),
-                     f"value of A: {ring.format(witness.value_a)}")
-        report.field("value_b", ring.format(witness.value_b),
-                     f"value of B: {ring.format(witness.value_b)}")
+        for side, value in (("a", witness.value_a), ("b", witness.value_b)):
+            report.field(f"value_{side}", ring.format(value),
+                         f"value of {side.upper()}: {ring.format(value)}")
         report.record["witness"] = {
             "trial": witness.trial,
             "seed": witness.seed,

@@ -39,6 +39,7 @@ from .signature import (
     ObjectVar,
     Signature,
     Sort,
+    code_lines,
     fresh_morphism,
     int_translate,  # unused here; perfbench's tracer wraps it by this name
 )
@@ -75,20 +76,12 @@ class Diagram:
     @cached_property
     def producer(self) -> tuple[tuple[int, int], ...]:
         """For each wire, the ``(box, output port)`` that produces it."""
-        out: list[tuple[int, int] | None] = [None] * self.n_wires
-        for b, ws in enumerate(self.box_outputs):
-            for j, w in enumerate(ws):
-                out[w] = (b, j)
-        return tuple(out)  # type: ignore[arg-type]
+        return _port_table(self.n_wires, self.box_outputs)
 
     @cached_property
     def consumer(self) -> tuple[tuple[int, int], ...]:
         """For each wire, the ``(box, input port)`` that consumes it."""
-        out: list[tuple[int, int] | None] = [None] * self.n_wires
-        for b, ws in enumerate(self.box_inputs):
-            for j, w in enumerate(ws):
-                out[w] = (b, j)
-        return tuple(out)  # type: ignore[arg-type]
+        return _port_table(self.n_wires, self.box_inputs)
 
     def validate(self) -> None:
         """Check all structural invariants, raising :class:`DiagramError`."""
@@ -106,22 +99,18 @@ class Diagram:
         for b, f in enumerate(self.box_labels):
             if f.dom.has_stars or f.cod.has_stars:
                 raise DiagramError(f"box b{b} label {f.display_name!r} has starred sorts")
-            if len(self.box_inputs[b]) != len(f.dom):
-                raise DiagramError(f"box b{b} input arity does not match {f.dom}")
-            if len(self.box_outputs[b]) != len(f.cod):
-                raise DiagramError(f"box b{b} output arity does not match {f.cod}")
-            for j, w in enumerate(self.box_inputs[b]):
-                if self.wire_labels[w] != f.dom.factors[j].base:
-                    raise DiagramError(
-                        f"wire w{w} label {self.wire_labels[w]} does not match "
-                        f"input port {j + 1} of b{b} : {f.display_name}"
-                    )
-            for j, w in enumerate(self.box_outputs[b]):
-                if self.wire_labels[w] != f.cod.factors[j].base:
-                    raise DiagramError(
-                        f"wire w{w} label {self.wire_labels[w]} does not match "
-                        f"output port {j + 1} of b{b} : {f.display_name}"
-                    )
+            sides = (("input", self.box_inputs[b], f.dom),
+                     ("output", self.box_outputs[b], f.cod))
+            for side, ws, sort in sides:
+                if len(ws) != len(sort):
+                    raise DiagramError(f"box b{b} {side} arity does not match {sort}")
+            for side, ws, sort in sides:
+                for j, w in enumerate(ws):
+                    if self.wire_labels[w] != sort.factors[j].base:
+                        raise DiagramError(
+                            f"wire w{w} label {self.wire_labels[w]} does not match "
+                            f"{side} port {j + 1} of b{b} : {f.display_name}"
+                        )
         labels = [a for a, _ in self.trivial_cycles]
         if labels != sorted(set(labels), key=lambda a: a.name):
             raise DiagramError("trivial cycle labels must be sorted and unique")
@@ -157,6 +146,15 @@ class Diagram:
                        self.box_inputs, self.box_outputs, ())
 
 
+def _port_table(n_wires: int, box_ports: tuple) -> tuple[tuple[int, int], ...]:
+    """For each wire, the ``(box, port)`` of ``box_ports`` it is attached to."""
+    out: list[tuple[int, int] | None] = [None] * n_wires
+    for b, ws in enumerate(box_ports):
+        for j, w in enumerate(ws):
+            out[w] = (b, j)
+    return tuple(out)  # type: ignore[arg-type]
+
+
 def mirror(d: Diagram) -> Diagram:
     """The dagger of a closed diagram: flip every box, reverse every wire."""
     return Diagram(
@@ -170,39 +168,36 @@ def mirror(d: Diagram) -> Diagram:
 
 # -- compiling terms ---------------------------------------------------
 
-class _Wiring:
-    """Union-find over wire ends created during compilation."""
-
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-        self.label: list[ObjectVar] = []
-
-    def new(self, label: ObjectVar) -> int:
-        self.parent.append(len(self.parent))
-        self.label.append(label)
-        return len(self.parent) - 1
-
-    def find(self, n: int) -> int:
-        root = n
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[n] != root:
-            self.parent[n], n = root, self.parent[n]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        """Join two ends.  Terms are typed before their ends are joined,
-        so both ends carry the same label."""
-        self.parent[self.find(a)] = self.find(b)
+def _find(parent: list[int] | dict[int, int], n: int) -> int:
+    """The root of ``n`` in the forest ``parent``; the path is compressed."""
+    root = n
+    while parent[root] != root:
+        root = parent[root]
+    while parent[n] != root:
+        parent[n], n = root, parent[n]
+    return root
 
 
 class _Builder:
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.wiring = _Wiring()
+        # Union-find over the wire ends made so far, and their labels.
+        self.parent: list[int] = []
+        self.end_labels: list[ObjectVar] = []
         self.box_labels: list[MorphismVar] = []
         self.box_dom_nodes: list[list[int]] = []
         self.box_cod_nodes: list[list[int]] = []
+
+    def new(self, label: ObjectVar) -> int:
+        self.parent.append(len(self.parent))
+        self.end_labels.append(label)
+        return len(self.parent) - 1
+
+    def join(self, xs: list[int], ys: list[int]) -> None:
+        """Join the ends ``xs`` to ``ys`` pairwise.  Terms are typed
+        before their ends are joined, so joined ends carry one label."""
+        for a, b in zip(xs, ys):
+            self.parent[_find(self.parent, a)] = _find(self.parent, b)
 
     def build(self, t: tm.Term, args: list) -> tuple:
         """Type and compile the node ``t`` from its children's values,
@@ -213,14 +208,13 @@ class _Builder:
         first_box = args[0][3] if args else len(self.box_labels)
         if isinstance(t, tm.Compose):
             (_, dom, cod1, _), (_, dom2, cod, _) = args
-            for a, b in zip(cod1, dom2):
-                self.wiring.union(a, b)
+            self.join(cod1, dom2)
         elif isinstance(t, tm.Id):
-            dom = [self.wiring.new(sf.base) for sf in t.sort]
+            dom = [self.new(sf.base) for sf in t.sort]
             cod = list(dom)
         elif isinstance(t, tm.Symmetry):
-            left = [self.wiring.new(sf.base) for sf in t.left]
-            right = [self.wiring.new(sf.base) for sf in t.right]
+            left = [self.new(sf.base) for sf in t.left]
+            right = [self.new(sf.base) for sf in t.right]
             dom, cod = left + right, right + left
         elif isinstance(t, tm.Var):
             dom, cod = self.box(self.sig.morphism(t.var_name))
@@ -230,8 +224,7 @@ class _Builder:
         elif isinstance(t, tm.Trace):
             (_, dom, cod, _), = args
             k = len(t.over)
-            for a, b in zip(cod[len(cod) - k:], dom[len(dom) - k:]):
-                self.wiring.union(a, b)
+            self.join(cod[len(cod) - k:], dom[len(dom) - k:])
             dom, cod = dom[: len(dom) - k], cod[: len(cod) - k]
         elif isinstance(t, tm.Dagger):
             (_, cod, dom, _), = args
@@ -240,14 +233,14 @@ class _Builder:
                 self.box_dom_nodes[b], self.box_cod_nodes[b] = (
                     self.box_cod_nodes[b], self.box_dom_nodes[b])
         else:  # a unit or counit: one wire, bent
-            n = self.wiring.new(t.obj.base)
+            n = self.new(t.obj.base)
             dom, cod = ([], [n, n]) if isinstance(t, tm.Unit) else ([n, n], [])
         return sorts, dom, cod, first_box
 
     def box(self, f: MorphismVar) -> tuple[list[int], list[int]]:
         g, table = f.translation
-        dom_nodes = [self.wiring.new(sf.base) for sf in g.dom]
-        cod_nodes = [self.wiring.new(sf.base) for sf in g.cod]
+        dom_nodes = [self.new(sf.base) for sf in g.dom]
+        cod_nodes = [self.new(sf.base) for sf in g.cod]
         self.box_labels.append(g)
         self.box_dom_nodes.append(dom_nodes)
         self.box_cod_nodes.append(cod_nodes)
@@ -267,14 +260,12 @@ class _Builder:
         first box of the closed term."""
         if f_in is not None:
             _, ends = self.box(f_in)
-            for a, b in zip(ends, dom):
-                self.wiring.union(a, b)
+            self.join(ends, dom)
             for boxes in (self.box_labels, self.box_dom_nodes, self.box_cod_nodes):
                 boxes.insert(0, boxes.pop())
         if f_out is not None:
             ends, _ = self.box(f_out)
-            for a, b in zip(cod, ends):
-                self.wiring.union(a, b)
+            self.join(cod, ends)
         return self.finalize()
 
     def finalize(self) -> Diagram:
@@ -283,20 +274,27 @@ class _Builder:
         In a closed typed term each class of ends has one producer and
         one consumer, or neither: a trivial cycle.
         """
-        find = self.wiring.find
+        parent = self.parent
+        root = [_find(parent, n) for n in range(len(parent))]
         wire_of: dict[int, int] = {}
         for nodes in self.box_cod_nodes:
             for n in nodes:
-                wire_of[find(n)] = len(wire_of)
-        roots = {find(n) for n in range(len(self.wiring.parent))}
-        trivial = Counter(self.wiring.label[r] for r in roots if r not in wire_of)
+                wire_of[root[n]] = len(wire_of)
+        trivial = Counter(self.end_labels[r] for r in set(root) if r not in wire_of)
         return Diagram(
-            tuple(self.wiring.label[r] for r in wire_of),
+            tuple(self.end_labels[r] for r in wire_of),
             tuple(self.box_labels),
-            tuple(tuple(wire_of[find(n)] for n in nodes) for nodes in self.box_dom_nodes),
-            tuple(tuple(wire_of[find(n)] for n in nodes) for nodes in self.box_cod_nodes),
+            tuple(tuple(wire_of[root[n]] for n in nodes) for nodes in self.box_dom_nodes),
+            tuple(tuple(wire_of[root[n]] for n in nodes) for nodes in self.box_cod_nodes),
             tuple(sorted(trivial.items(), key=lambda item: item[0].name)),
         )
+
+
+def _open(t: tm.Term, sig: Signature) -> tuple:
+    """Walk ``t`` once: its builder, its type and its boundary wire ends."""
+    builder = _Builder(sig)
+    sorts, dom, cod, _ = tm._fold(t, builder.build)
+    return builder, sorts, dom, cod
 
 
 def compile_term(t: tm.Term, sig: Signature) -> Diagram:
@@ -307,8 +305,7 @@ def compile_term(t: tm.Term, sig: Signature) -> Diagram:
     signature's morphism variables.  The result is valid by
     construction, so :meth:`Diagram.validate` is not run on it.
     """
-    builder = _Builder(sig)
-    (dom, cod), _, _, _ = tm._fold(t, builder.build)
+    builder, (dom, cod), _, _ = _open(t, sig)
     if not (dom.is_unit and cod.is_unit):
         raise TypeCheckError(f"term is not closed: {dom} -> {cod}")
     return builder.finalize()
@@ -325,11 +322,7 @@ def compile_closed(ts: list[tm.Term],
     the terms :func:`terms.close_pair` closes, box for box and wire for
     wire, and so are the errors.  Closed terms get no closure.
     """
-    opened = []
-    for t in ts:
-        builder = _Builder(sig)
-        sorts, dom, cod, _ = tm._fold(t, builder.build)
-        opened.append((builder, sorts, dom, cod))
+    opened = [_open(t, sig) for t in ts]
     dom_sort, cod_sort = tm.common_type([sorts for _, sorts, _, _ in opened])
     f_in = f_out = None
     if not (dom_sort.is_unit and cod_sort.is_unit):
@@ -445,17 +438,10 @@ def _code_classes(d: Diagram) -> dict[tuple, list[Component]]:
         roots = [c for c in boxes if keys[c] == rarest]
         # Union-find over the roots: the orbits under the generators.
         parent = {c: c for c in roots}
-
-        def find(c: int) -> int:
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
         walked: set[int] = set()  # representatives of walked orbits
         best, ref = None, ()
         for root in roots:
-            rep = find(root)
+            rep = _find(parent, root)
             if rep in walked:
                 continue
             walked.add(rep)
@@ -468,13 +454,13 @@ def _code_classes(d: Diagram) -> dict[tuple, list[Component]]:
                 continue
             for x, y in zip(ref, walk):
                 if x in parent:
-                    x, y = find(x), find(y)
+                    x, y = _find(parent, x), _find(parent, y)
                     if x != y:
                         parent[y] = x
                         if y in walked:
                             walked.add(x)
-        first = find(ref[0])
-        canonical = tuple(c for c in roots if find(c) == first)
+        first = _find(parent, ref[0])
+        canonical = tuple(c for c in roots if _find(parent, c) == first)
         classes.setdefault(best, []).append((ref, canonical))
     return classes
 
@@ -630,10 +616,7 @@ def parse_diagram(text: str, sig: Signature) -> Diagram:
     box_labels: list[MorphismVar] = []
     wires: list[tuple[ObjectVar, tuple[int, int], tuple[int, int]]] = []
     trivial: list[tuple[ObjectVar, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for lineno, stripped in code_lines(text):
         parts = stripped.split()
         if parts[0] == "box":
             if len(parts) != 4 or parts[2] != ":" or parts[1] != f"b{len(box_labels)}":
@@ -658,8 +641,6 @@ def parse_diagram(text: str, sig: Signature) -> Diagram:
                 raise ParseError("expected 'trivial OBJ COUNT'", lineno)
             try:
                 trivial.append((sig.object(parts[1]), int(parts[2])))
-            except ParseError:
-                raise
             except Exception:
                 raise ParseError(f"bad trivial cycle line {stripped!r}", lineno) from None
         else:

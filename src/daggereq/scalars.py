@@ -18,6 +18,9 @@ from typing import Any, Iterable
 
 from .errors import DaggereqError, ParseError
 
+# The relative tolerance of ComplexFloatRing.eq unless one is given.
+DEFAULT_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class GaussianInt:
@@ -284,7 +287,7 @@ class ComplexFloatRing(ScalarRing):
     exact = False
     zero, one = 0j, 1 + 0j
 
-    def __init__(self, tolerance: float = 1e-9):
+    def __init__(self, tolerance: float = DEFAULT_TOLERANCE):
         if not 0 <= tolerance < float("inf"):  # also false for nan
             raise DaggereqError("tolerance must be nonnegative and finite")
         self.tolerance = tolerance
@@ -293,7 +296,10 @@ class ComplexFloatRing(ScalarRing):
         return complex(n, 0)
 
     def eq(self, a: complex, b: complex) -> bool:
-        return abs(a - b) <= self.tolerance * max(1.0, abs(a), abs(b))
+        try:
+            return abs(a - b) <= self.tolerance * max(1.0, abs(a), abs(b))
+        except OverflowError:  # a modulus past the float range; a quarter's is not
+            return self.eq(complex(a.real / 4, a.imag / 4), complex(b.real / 4, b.imag / 4))
 
     def is_finite(self, a: complex) -> bool:
         inf = float("inf")
@@ -373,7 +379,7 @@ RINGS = {
 }
 
 
-def make_ring(name: str, tolerance: float = 1e-9) -> ScalarRing:
+def make_ring(name: str, tolerance: float = DEFAULT_TOLERANCE) -> ScalarRing:
     if name == "float":
         return ComplexFloatRing(tolerance)
     try:

@@ -55,7 +55,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .diagram import Diagram
 from .errors import DaggereqError, InterpretationError, ParseError
@@ -66,7 +66,7 @@ from .scalars import (
     MultilinearRing,
     ScalarRing,
 )
-from .signature import MorphismVar, ObjectVar, Signature, Sort
+from .signature import MorphismVar, ObjectVar, Signature, Sort, code_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,12 +133,8 @@ class Interpretation:
 
     def check(self) -> None:
         """Validate shapes against sorts and the dagger pairing."""
-        if any(d < 0 for d in self.space.values()):
-            raise InterpretationError("dimensions must be nonnegative")
+        _check_space(self.space, self.matrix)
         for f, t in self.matrix.items():
-            if f.dom.has_stars or f.cod.has_stars:
-                raise InterpretationError(
-                    f"morphism {f.display_name!r} has starred sorts")
             if t.cod_dims != self._sort_dims(f.cod) or t.dom_dims != self._sort_dims(f.dom):
                 raise InterpretationError(
                     f"matrix shape of {f.display_name!r} does not match its sort")
@@ -149,6 +145,17 @@ class Interpretation:
                 raise InterpretationError(
                     f"matrix of {f.dagger().display_name!r} is not the "
                     f"conjugate transpose of {f.display_name!r}")
+
+
+def _check_space(space: Mapping[ObjectVar, int], morphisms: Iterable[MorphismVar]) -> None:
+    """Raise unless every dimension is nonnegative and no sort is starred."""
+    for a, d in space.items():
+        if d < 0:
+            raise InterpretationError(f"dimension of {a} must be nonnegative")
+    for f in morphisms:
+        if f.dom.has_stars or f.cod.has_stars:
+            raise InterpretationError(
+                f"cannot interpret starred sorts of {f.display_name!r}")
 
 
 # -- evaluation --------------------------------------------------------
@@ -558,13 +565,8 @@ def random_interpretation(sig: Signature, dims: Mapping[ObjectVar, int] | int,
         d = dims if isinstance(dims, int) else dims.get(a)
         if d is None:
             raise InterpretationError(f"no dimension given for object {a}")
-        if d < 0:
-            raise InterpretationError(f"dimension of {a} must be nonnegative")
         space[a] = d
-    for f in sig.base_morphisms:
-        if f.dom.has_stars or f.cod.has_stars:
-            raise InterpretationError(
-                f"cannot interpret starred sorts of {f.display_name!r}")
+    _check_space(space, sig.base_morphisms)
     over = _over_budget(sig, space)
     if over:
         raise InterpretationError(over)
@@ -806,18 +808,13 @@ def parse_interpretation(text: str, sig: Signature, ring: ScalarRing) -> Interpr
     """Parse the output of :func:`interpretation_to_text` against ``sig``."""
     space: dict[ObjectVar, int] = {}
     raw_entries: dict[MorphismVar, dict[tuple[int, ...], Any]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for lineno, stripped in code_lines(text):
         if stripped.startswith("dim "):
             parts = stripped[4:].split("=")
             if len(parts) != 2:
                 raise ParseError("expected 'dim OBJ = N'", lineno)
             try:
                 space[sig.object(parts[0].strip())] = int(parts[1])
-            except ParseError:
-                raise
             except Exception:
                 raise ParseError(f"bad dimension line {stripped!r}", lineno) from None
             continue

@@ -173,7 +173,7 @@ def _check_objects(objects: tuple[ObjectVar, ...]) -> set[str]:
 def _check_morphism(f: MorphismVar, kind: str, obj_names: set[str],
                     mor_seen: set[str]) -> None:
     """Validate one declared morphism against the objects and the names
-    of the morphisms declared before it."""
+    of the morphisms declared before it; add its name to those."""
     _check_name(f.name, "morphism")
     if f.daggered:
         raise SignatureError(
@@ -190,6 +190,7 @@ def _check_morphism(f: MorphismVar, kind: str, obj_names: set[str],
             raise SignatureError(
                 f"starred object {sf} in traced monoidal signature"
             )
+    mor_seen.add(f.name)
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,6 @@ class Signature:
         mor_seen: set[str] = set()
         for f in self.base_morphisms:
             _check_morphism(f, self.kind, obj_names, mor_seen)
-            mor_seen.add(f.name)
 
     @cached_property
     def _obj_index(self) -> Mapping[str, ObjectVar]:
@@ -229,18 +229,6 @@ class Signature:
             index[f.display_name] = f
             index[f.dagger().display_name] = f.dagger()
         return index
-
-    @cached_property
-    def _translation(self) -> tuple[Signature, TranslationTable]:
-        """The result of :func:`int_translate`, computed once from the
-        variables' own translations."""
-        variables: dict[MorphismVar, MorphismVar] = {}
-        ports: dict[MorphismVar, dict[Port, Port]] = {}
-        for f in self._mor_index.values():
-            variables[f], ports[f] = f.translation
-        out = Signature(TRACED_MONOIDAL, self.objects,
-                        tuple(variables[f] for f in self.base_morphisms))
-        return out, TranslationTable(variables, ports)
 
     @property
     def morphisms(self) -> tuple[MorphismVar, ...]:
@@ -352,14 +340,27 @@ def int_translate(sig: Signature) -> tuple[Signature, TranslationTable]:
     returned table records where each original port went.  The dagger
     is preserved: the translation of ``f†`` is the dagger of the
     translation of ``f``, with the port table mirrored accordingly.
-    Traced signatures translate to themselves.  The result is collected
-    from each variable's :attr:`MorphismVar.translation`, once per
-    signature, and shared by every caller.
+    Traced signatures translate to themselves.  The table is collected
+    from each variable's :attr:`MorphismVar.translation`; compiling a
+    term reads those directly and does not call this.
     """
-    return sig._translation
+    translated = {f: f.translation for f in sig.morphisms}
+    table = TranslationTable({f: g for f, (g, _) in translated.items()},
+                             {f: ports for f, (_, ports) in translated.items()})
+    return Signature(TRACED_MONOIDAL, sig.objects,
+                     tuple(map(table.variable, sig.base_morphisms))), table
 
 
 # -- text format -------------------------------------------------------
+
+def code_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, code)`` per line of ``text`` that is not blank once
+    its ``#`` comment is cut: the comment rule of every file format."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0].strip()
+        if code:
+            yield lineno, code
+
 
 def _parse_sort_text(text: str, objects: set[str], line: int) -> Sort:
     text = text.strip()
@@ -393,11 +394,8 @@ def parse_signature(text: str) -> Signature:
     kind = COMPACT_CLOSED
     objects: list[ObjectVar] = []
     morphisms: list[tuple[int, str, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        head, _, rest = stripped.partition(" ")
+    for lineno, code in code_lines(text):
+        head, _, rest = code.partition(" ")
         rest = rest.strip()
         if head == "kind":
             if objects or morphisms:
@@ -427,7 +425,6 @@ def parse_signature(text: str) -> Signature:
         except SignatureError as exc:
             raise ParseError(str(exc), lineno) from None
         declared.append(f)
-        mor_seen.add(name)
     return Signature(kind, tuple(objects), tuple(declared), _checked=True)
 
 

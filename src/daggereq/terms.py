@@ -21,6 +21,7 @@ from .signature import (
     SignedObject,
     Sort,
     TRACED_MONOIDAL,
+    code_lines,
     declare_morphism,
 )
 
@@ -156,24 +157,23 @@ def type_check(t: Term, sig: Signature) -> tuple[Sort, Sort]:
     return _fold(t, lambda node, args: _sorts(sig, node, args))
 
 
-def close_term(t: Term, sig: Signature,
-               prefix: str = "close") -> tuple[Term, Signature]:
+def close_term(t: Term, sig: Signature) -> tuple[Term, Signature]:
     """Wrap ``t : X -> Y`` into a closed term ``in ; t ; out : I -> I``.
 
     ``in : I -> X`` and ``out : Y -> I`` are fresh morphism variables
-    added to the returned signature.  Closed terms are returned as is.
+    named by :func:`closure_names` and added to the returned signature.
+    Closed terms are returned as is.
     """
-    return _close([t], sig, prefix)
+    return _close([t], sig)
 
 
-def close_pair(t1: Term, t2: Term, sig: Signature,
-               prefix: str = "close") -> tuple[Term, Term, Signature]:
+def close_pair(t1: Term, t2: Term, sig: Signature) -> tuple[Term, Term, Signature]:
     """Close two terms of the same type with one shared pair of variables.
 
     Sharing matters: the closures must use equal labels on both sides,
     otherwise the closed terms could never be equal.
     """
-    return _close([t1, t2], sig, prefix)
+    return _close([t1, t2], sig)
 
 
 def common_type(types: list[tuple[Sort, Sort]]) -> tuple[Sort, Sort]:
@@ -187,25 +187,25 @@ def common_type(types: list[tuple[Sort, Sort]]) -> tuple[Sort, Sort]:
     return dom, cod
 
 
-def closure_names(sig: Signature, prefix: str = "close") -> tuple[str, str]:
-    """The first pair ``prefix_inK``, ``prefix_outK`` that ``sig`` does
+def closure_names(sig: Signature) -> tuple[str, str]:
+    """The first pair ``close_inK``, ``close_outK`` that ``sig`` does
     not use as names, with ``K`` empty, then 1, 2, ..."""
     for k in itertools.count():
         suffix = str(k) if k else ""
-        name_in, name_out = f"{prefix}_in{suffix}", f"{prefix}_out{suffix}"
+        name_in, name_out = f"close_in{suffix}", f"close_out{suffix}"
         if not any(sig.has_morphism(name) or sig.has_object(name)
                    for name in (name_in, name_out)):
             return name_in, name_out
 
 
-def _close(ts: list[Term], sig: Signature, prefix: str) -> tuple:
+def _close(ts: list[Term], sig: Signature) -> tuple:
     """Close terms of one type as ``in ; t ; out`` with one shared pair
     of fresh variables; return the closed terms, then the signature.
     Closed terms come back as they are."""
     dom, cod = common_type([type_check(t, sig) for t in ts])
     if dom.is_unit and cod.is_unit:
         return (*ts, sig)
-    name_in, name_out = closure_names(sig, prefix)
+    name_in, name_out = closure_names(sig)
     if not dom.is_unit:
         sig = declare_morphism(sig, name_in, Sort.unit(), dom)
         ts = [Compose(Var(name_in), t) for t in ts]
@@ -409,15 +409,13 @@ def parse_term(src: str, sig: Signature) -> Term:
 def _split_use(text: str) -> tuple[str | None, str]:
     """The path of a term file's ``use PATH`` line, its first code line,
     and the file with that line blanked, so positions stay file positions."""
+    lineno, code = next(code_lines(text), (0, ""))
+    if not code.startswith("use "):
+        return None, text
     lines = text.splitlines(keepends=True)
-    for i, raw in enumerate(lines):
-        code = raw.split("#", 1)[0].strip()
-        if code:
-            if not code.startswith("use "):
-                break
-            lines[i] = raw[len(raw.splitlines()[0]):]  # keep the line break
-            return code[4:].strip(), "".join(lines)
-    return None, text
+    raw = lines[lineno - 1]
+    lines[lineno - 1] = raw[len(raw.splitlines()[0]):]  # keep the line break
+    return code[4:].strip(), "".join(lines)
 
 
 def use_path(text: str) -> str | None:
@@ -432,7 +430,9 @@ def parse_term_file(text: str, sig: Signature | None = None,
     The term may span several lines and carry ``#`` comments; error
     positions are lines and columns of the file.  When ``sig`` is given
     it wins over any ``use`` line; otherwise the ``use`` path is
-    resolved through the ``load_signature`` callback.
+    resolved through the ``load_signature`` callback.  The CLI always
+    passes ``sig``: it resolves the ``use`` lines of all its term files
+    first and requires those that load to agree.
     """
     path, body = _split_use(text)
     if sig is None:

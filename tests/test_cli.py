@@ -724,3 +724,57 @@ def test_the_default_search_skips_dimensions_over_the_budget(tmp_path,
         "witness found at dimensions [6] (completeness construction, trial 0)",
     ]
     assert record["witness"]["dims"] == {"X": 6}
+
+
+S1_SIG = "object A\nmorphism f : A -> A\n"
+
+
+@pytest.mark.parametrize("body_b", ["tr[A](g)", "tr[A](f)"])
+def test_use_lines_naming_different_signatures_are_an_error(tmp_path, capsys, body_b):
+    s1 = write(tmp_path, "s1.sig", S1_SIG)
+    s2 = write(tmp_path, "s2.sig", S1_SIG + "morphism g : A -> A\n")
+    a = write(tmp_path, "a.term", "use s1.sig\ntr[A](f)\n")
+    b = write(tmp_path, "b.term", f"use s2.sig\n{body_b}\n")
+    assert main(["check", a, b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {a} and {b} use different signatures: {s1} and {s2}\n")
+
+
+@pytest.mark.parametrize("use_b, parses", [("sig.sig", 1), ("copy.sig", 2)])
+def test_each_use_path_is_parsed_once(tmp_path, capsys, monkeypatch, use_b, parses):
+    from daggereq import cli
+
+    write(tmp_path, "sig.sig", WORKED_SIG)
+    write(tmp_path, "copy.sig", WORKED_SIG)
+    a = write(tmp_path, "n.term", "use sig.sig\n" + WORKED_N + "\n")
+    b = write(tmp_path, "m.term", f"use {use_b}\n" + WORKED_M + "\n")
+    texts = []
+    parse = cli.parse_signature
+    monkeypatch.setattr(cli, "parse_signature", lambda text: texts.append(text) or parse(text))
+    assert main(["check", a, b]) == 0
+    assert "verdict: equal" in capsys.readouterr().out
+    assert texts == [WORKED_SIG] * parses
+
+
+def test_check_verifies_the_isomorphism_it_prints(tmp_path, capsys, monkeypatch):
+    from daggereq import diagram
+
+    sig = write(tmp_path, "s.sig", S1_SIG + "morphism g : A -> A\n")
+    a = write(tmp_path, "a.term", "tr[A](f ; g)\n")
+    b = write(tmp_path, "b.term", "tr[A](g ; f)\n")
+    argv = ["check", "--sig", sig, a, b]
+    assert main(argv) == 0
+    assert "isomorphism boxes: b0->b1 b1->b0" in capsys.readouterr().out
+    iso = diagram._iso
+
+    def swapped(n, m, pairs):
+        found = iso(n, m, pairs)
+        return diagram.DiagramIso(found.wire_map, found.box_map[::-1])
+
+    monkeypatch.setattr(diagram, "_iso", swapped)
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "cross-check failed: the printed isomorphism does not verify" in out
+    assert "isomorphism boxes:" not in out

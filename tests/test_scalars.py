@@ -199,3 +199,12 @@ def test_multilinear_zero_and_one_are_fresh_dicts():
     one[0] = 7
     assert ring.zero == {} and ring.one == {0: 1}
     assert ring.zero is not ring.zero and ring.one is not ring.one
+
+
+def test_float_eq_compares_values_whose_modulus_overflows():
+    ring = ComplexFloatRing()
+    big = complex(1.7e308, 1.7e308)
+    assert not ring.eq(big, 0j) and not ring.eq(0j, big)
+    assert ring.eq(big, big) and ComplexFloatRing(0.0).eq(big, big)
+    assert ring.eq(big, big * (1 + 1e-12))
+    assert not ring.eq(big, complex(1.7e308, -1.7e308))

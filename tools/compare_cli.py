@@ -8,7 +8,9 @@ changed), then runs ``check``, ``iso-count`` and ``poly`` in text and
 JSON and ``export`` in both styles on every pair, the warm-up pair
 included, once per tree.  ``--mutants N``
 adds ``check`` runs on N term files with one character deleted or
-inserted, most of which are parse errors.  Each tree runs in its own
+inserted, most of which are parse errors, and on N signature files
+mutated the same way, each read through the ``use`` lines of a copied
+pair of term files.  Each tree runs in its own
 subprocess with ``PYTHONHASHSEED=0`` and ``DAGGEREQ_SEED`` unset, and
 calls ``daggereq.cli.main`` in-process from the workload's directory.
 
@@ -73,6 +75,18 @@ def invocations(work: Path, seed: int, mutants: int) -> list:
         mutant = path.parent / f"mutant{i:04d}.term"
         mutant.write_text(_mutate(path.read_text(), rng))
         runs.append((str(path.parent), ["check", mutant.name, path.name]))
+    rng = random.Random(f"sig-mutants:{seed}")
+    pairs = sorted(work.glob("*/p*a.term"))
+    for i in range(mutants if pairs else 0):
+        a = rng.choice(pairs)
+        sig = a.parent / f"mutant{i:04d}.sig"
+        sig.write_text(_mutate((a.parent / "sig.sig").read_text(), rng))
+        names = []
+        for path in (a, a.with_name(a.name.replace("a.term", "b.term"))):
+            copy = a.parent / f"sigmutant{i:04d}{path.name[-6:]}"
+            copy.write_text(path.read_text().replace("use sig.sig", f"use {sig.name}", 1))
+            names.append(copy.name)
+        runs.append((str(a.parent), ["check", *names]))
     return runs
 
 
