@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -73,8 +72,8 @@ def _load_signature(path: str) -> Signature:
 
 
 def _load_terms(args, names: list[str]) -> tuple[Signature, list[tm.Term]]:
-    """The signature (``--sig``, else the first ``use`` line; a later one
-    that loads must agree, each path parsed once) and the terms."""
+    """The signature (``--sig``, else the first ``use`` line; every later
+    one must load and agree, each path parsed once) and the terms."""
     sig = _load_signature(args.sig) if args.sig else None
     texts = [_read(name) for name in names]
     uses = [] if args.sig else [
@@ -83,12 +82,7 @@ def _load_terms(args, names: list[str]) -> tuple[Signature, list[tm.Term]]:
     loaded: dict[str, Signature] = {}
     for name, path in uses:
         if path not in loaded:
-            try:
-                loaded[path] = _load_signature(path)
-            except (DaggereqError, OSError):
-                if sig is None:
-                    raise
-                continue  # the first use line serves this file too
+            loaded[path] = _load_signature(path)
         if sig is None:
             sig = loaded[path]
         elif loaded[path] != sig:
@@ -308,13 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    env_seed = os.environ.get("DAGGEREQ_SEED")
-    if env_seed is not None and hasattr(args, "seed"):
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"error: bad DAGGEREQ_SEED {env_seed!r}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except (DaggereqError, OSError) as exc:

@@ -282,14 +282,18 @@ class GaussianIntegerRing(ScalarRing):
                              (m.group(1), m.group(2).replace(" ", ""))))
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0 <= tolerance < float("inf"):  # also false for nan
+        raise DaggereqError("tolerance must be nonnegative and finite")
+
+
 class ComplexFloatRing(ScalarRing):
     name = "float"
     exact = False
     zero, one = 0j, 1 + 0j
 
     def __init__(self, tolerance: float = DEFAULT_TOLERANCE):
-        if not 0 <= tolerance < float("inf"):  # also false for nan
-            raise DaggereqError("tolerance must be nonnegative and finite")
+        _check_tolerance(tolerance)
         self.tolerance = tolerance
 
     def from_int(self, n: int) -> complex:
@@ -380,6 +384,9 @@ RINGS = {
 
 
 def make_ring(name: str, tolerance: float = DEFAULT_TOLERANCE) -> ScalarRing:
+    """The ring called ``name``.  ``tolerance`` is validated on every ring,
+    though only the float ring uses it."""
+    _check_tolerance(tolerance)
     if name == "float":
         return ComplexFloatRing(tolerance)
     try:

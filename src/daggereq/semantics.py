@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
@@ -66,7 +67,7 @@ from .scalars import (
     MultilinearRing,
     ScalarRing,
 )
-from .signature import MorphismVar, ObjectVar, Signature, Sort, code_lines
+from .signature import MorphismVar, ObjectVar, Signature, code_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,14 +129,16 @@ class Interpretation:
             raise InterpretationError(
                 f"morphism {f.display_name!r} has no matrix") from None
 
-    def _sort_dims(self, s: Sort) -> tuple[int, ...]:
-        return tuple(self.dim(sf.base) for sf in s)
-
     def check(self) -> None:
         """Validate shapes against sorts and the dagger pairing."""
         _check_space(self.space, self.matrix)
         for f, t in self.matrix.items():
-            if t.cod_dims != self._sort_dims(f.cod) or t.dom_dims != self._sort_dims(f.dom):
+            try:
+                shape = _matrix_shape(f, self.space)
+            except KeyError as exc:
+                raise InterpretationError(
+                    f"object {exc.args[0]} has no dimension") from None
+            if (t.cod_dims, t.dom_dims) != shape:
                 raise InterpretationError(
                     f"matrix shape of {f.display_name!r} does not match its sort")
             t.check()
@@ -145,6 +148,14 @@ class Interpretation:
                 raise InterpretationError(
                     f"matrix of {f.dagger().display_name!r} is not the "
                     f"conjugate transpose of {f.display_name!r}")
+
+
+def _matrix_shape(f: MorphismVar, space: Mapping[ObjectVar, int],
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The dimensions of ``f``'s matrix: its codomain's, then its
+    domain's.  Raises KeyError for an object ``space`` lacks."""
+    return (tuple(space[sf.base] for sf in f.cod),
+            tuple(space[sf.base] for sf in f.dom))
 
 
 def _check_space(space: Mapping[ObjectVar, int], morphisms: Iterable[MorphismVar]) -> None:
@@ -190,14 +201,17 @@ def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
 class Contraction:
     """The greedy pairwise contraction of one diagram, planned once.
 
-    A node is a sparse tensor with one axis per distinct wire, axes in
-    increasing wire order.  The plan starts from one node per box and
-    repeatedly removes the wire whose removal leaves the smallest node,
-    by the dimensions in ``space``, ties going to the lower wire: a
-    wire held by one node is summed over, a wire held by two nodes
-    joins them on every axis they share.  The order and the index maps
-    of every step depend only on the wiring and the dimensions, never
-    on the entries, so :meth:`run` evaluates the diagram under any
+    A node is a sparse tensor with one axis per distinct wire.  A box's
+    node has its axes in port order, each wire at its first port, so
+    the node of a box without a self-loop is its label's matrix as
+    stored; a node that a step makes has its axes in increasing wire
+    order.  The plan starts from one node per box and repeatedly
+    removes the wire whose removal leaves the smallest node, by the
+    dimensions in ``space``, ties going to the lower wire: a wire held
+    by one node is summed over, a wire held by two nodes joins them on
+    every axis they share.  The order and the index maps of every step
+    depend only on the wiring and the dimensions, never on the
+    entries, so :meth:`run` evaluates the diagram under any
     interpretation with dict joins and ring operations alone.  The
     dimensions only set the cost of the order: a plan stays correct
     under an interpretation with other dimensions.
@@ -205,39 +219,24 @@ class Contraction:
 
     def __init__(self, d: Diagram, space: Mapping[ObjectVar, int]):
         self.diagram = d
-        # The distinct box labels, whose tensors each run looks up once.
-        self._labels = list(dict.fromkeys(d.box_labels))
-        label_index = {f: i for i, f in enumerate(self._labels)}
-        # Per distinct rekeying of a label's entries: the index of the
-        # label, the port pairs a self-loop forces equal, and the getter
-        # from a full entry index to the node key (None when the index
-        # already is the key).  Boxes that rekey alike share one.
-        self._views: list[tuple[int, tuple[tuple[int, int], ...],
+        # Per box: its label, the port pairs a self-loop forces equal,
+        # and for a box with one, the getter of the node key from an
+        # entry index.
+        self._boxes: list[tuple[MorphismVar, tuple[tuple[int, int], ...],
                                 Callable | None]] = []
-        self._box_views: list[int] = []
-        view_of: dict[tuple, int] = {}
         axes_of: dict[int, tuple[int, ...]] = {}
+        holders: dict[int, set[int]] = {}  # the nodes that hold each wire
         for b, f in enumerate(d.box_labels):
             ports = tuple(d.box_outputs[b]) + tuple(d.box_inputs[b])
             first: dict[int, int] = {}
             for p, w in enumerate(ports):
                 first.setdefault(w, p)
-            axes = tuple(sorted(first))
             loops = tuple((p, first[w]) for p, w in enumerate(ports) if first[w] != p)
-            positions = [first[w] for w in axes]
-            view = (label_index[f], loops, tuple(positions))
-            if view not in view_of:
-                view_of[view] = len(self._views)
-                get = (None if not loops and positions == list(range(len(ports)))
-                       else _tuple_getter(positions))
-                self._views.append((label_index[f], loops, get))
-            self._box_views.append(view_of[view])
-            axes_of[b] = axes
-
-        holders: dict[int, set[int]] = {}
-        for nid, axes in axes_of.items():
-            for w in axes:
-                holders.setdefault(w, set()).add(nid)
+            self._boxes.append(
+                (f, loops, _tuple_getter(list(first.values())) if loops else None))
+            axes_of[b] = tuple(first)
+            for w in first:
+                holders.setdefault(w, set()).add(b)
         try:
             dims = {w: space[d.wire_labels[w]] for w in holders}
         except KeyError as exc:
@@ -270,7 +269,7 @@ class Contraction:
             old = [axes_of.pop(nid) for nid in involved]
             if len(involved) == 1:
                 (axes,) = old
-                new = tuple(a for a in axes if a != w)
+                new = tuple(sorted(a for a in axes if a != w))
                 self._steps.append((involved[0], None, None, None,
                                     _tuple_getter([axes.index(a) for a in new])))
             else:
@@ -302,19 +301,15 @@ class Contraction:
         """
         ring = interp.ring
         add, mul = ring.add, ring.mul
-        tensors = [interp.tensor(f).entries for f in self._labels]
-        views = []
-        for label, loops, get in self._views:
-            entries = tensors[label]
+        # No step mutates a node's dict, so a box's node may be its
+        # label's entries themselves.
+        nodes: list[Mapping[tuple[int, ...], Any] | None] = []
+        for f, loops, get in self._boxes:
+            entries = interp.tensor(f).entries
             if loops:
                 entries = {get(idx): v for idx, v in entries.items()
                            if all(idx[p] == idx[q] for p, q in loops)}
-            elif get is not None:
-                entries = {get(idx): v for idx, v in entries.items()}
-            views.append(entries)
-        # No step mutates a node's dict, so boxes may share one.
-        nodes: list[Mapping[tuple[int, ...], Any] | None] = [
-            views[v] for v in self._box_views]
+            nodes.append(entries)
         for i1, i2, get1, get2, get_out in self._steps:
             e1 = nodes[i1]
             nodes[i1] = None
@@ -453,8 +448,7 @@ def m_interpretation(m: Diagram, ring: ScalarRing = ConjPolynomialRing()) -> Int
         if f not in matrix:
             fd = dagger[f] = f.dagger()
             dagger[fd] = f
-            cod = tuple(space[m.wire_labels[w]] for w in outs)
-            dom = tuple(space[m.wire_labels[w]] for w in ins)
+            cod, dom = _matrix_shape(f, space)
             matrix[f], matrix[fd] = Tensor(cod, dom, {}), Tensor(dom, cod, {})
         out_idx = tuple(pos[w] for w in outs)
         in_idx = tuple(pos[w] for w in ins)
@@ -536,10 +530,8 @@ def _over_budget(sig: Signature, space: Mapping[ObjectVar, int]) -> str | None:
     """Why random matrices for ``sig`` at ``space`` are too large, or None."""
     size = 0
     for f in sig.base_morphisms:
-        entries = 1
-        for sf in (*f.cod, *f.dom):
-            entries *= space[sf.base]
-        size += entries
+        cod, dom = _matrix_shape(f, space)
+        size += math.prod(cod + dom)
     if size <= ENTRY_BUDGET:
         return None
     return (f"a random interpretation at these dimensions needs {size} matrix "
@@ -573,8 +565,7 @@ def random_interpretation(sig: Signature, dims: Mapping[ObjectVar, int] | int,
     extra = () if magnitude is None else (magnitude,)
     matrix: dict[MorphismVar, Tensor] = {}
     for f in sig.base_morphisms:
-        cod_dims = tuple(space[sf.base] for sf in f.cod)
-        dom_dims = tuple(space[sf.base] for sf in f.dom)
+        cod_dims, dom_dims = _matrix_shape(f, space)
         entries = {
             idx: ring.sample(rng, *extra)
             for idx in itertools.product(*(range(k) for k in cod_dims + dom_dims))
@@ -643,8 +634,7 @@ def _construction(n: Diagram, m: Diagram, sig: Signature, ring: ScalarRing,
     matrix: dict[MorphismVar, Tensor] = {}
     for f in sig.morphisms:
         t = interp.matrix.get(f)
-        matrix[f] = Tensor(tuple(space[sf.base] for sf in f.cod),
-                           tuple(space[sf.base] for sf in f.dom),
+        matrix[f] = Tensor(*_matrix_shape(f, space),
                            t.entries if t is not None else {})
     return Interpretation(ring, space, matrix)
 
@@ -841,11 +831,9 @@ def parse_interpretation(text: str, sig: Signature, ring: ScalarRing) -> Interpr
     matrix: dict[MorphismVar, Tensor] = {}
     for f, entries in raw_entries.items():
         try:
-            cod_dims = tuple(space[sf.base] for sf in f.cod)
-            dom_dims = tuple(space[sf.base] for sf in f.dom)
+            matrix[f] = Tensor(*_matrix_shape(f, space), entries)
         except KeyError as exc:
             raise ParseError(f"no 'dim' line for object {exc.args[0]}") from None
-        matrix[f] = Tensor(cod_dims, dom_dims, entries)
     interp = Interpretation(ring, space, matrix)
     interp.check()
     return interp

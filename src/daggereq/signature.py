@@ -159,15 +159,13 @@ class MorphismVar:
         return f"{self.display_name} : {self.dom} -> {self.cod}"
 
 
-def _check_objects(objects: tuple[ObjectVar, ...]) -> set[str]:
-    """Validate object declarations; return their names."""
-    seen: set[str] = set()
-    for obj in objects:
-        _check_name(obj.name, "object")
-        if obj.name in seen:
-            raise SignatureError(f"duplicate object {obj.name!r}")
-        seen.add(obj.name)
-    return seen
+def _check_object(obj: ObjectVar, seen: set[str]) -> None:
+    """Validate one object declaration against the names of the objects
+    declared before it; add its name to those."""
+    _check_name(obj.name, "object")
+    if obj.name in seen:
+        raise SignatureError(f"duplicate object {obj.name!r}")
+    seen.add(obj.name)
 
 
 def _check_morphism(f: MorphismVar, kind: str, obj_names: set[str],
@@ -213,7 +211,9 @@ class Signature:
             raise SignatureError(f"unknown signature kind {self.kind!r}")
         if _checked:
             return
-        obj_names = _check_objects(self.objects)
+        obj_names: set[str] = set()
+        for obj in self.objects:
+            _check_object(obj, obj_names)
         mor_seen: set[str] = set()
         for f in self.base_morphisms:
             _check_morphism(f, self.kind, obj_names, mor_seen)
@@ -393,6 +393,7 @@ def parse_signature(text: str) -> Signature:
     """
     kind = COMPACT_CLOSED
     objects: list[ObjectVar] = []
+    obj_names: set[str] = set()
     morphisms: list[tuple[int, str, str, str]] = []
     for lineno, code in code_lines(text):
         head, _, rest = code.partition(" ")
@@ -407,6 +408,10 @@ def parse_signature(text: str) -> Signature:
             if not _NAME_RE.match(rest):
                 raise ParseError(f"bad object name {rest!r}", lineno)
             objects.append(ObjectVar(rest))
+            try:
+                _check_object(objects[-1], obj_names)
+            except SignatureError as exc:
+                raise ParseError(str(exc), lineno) from None
         elif head == "morphism":
             m = re.match(r"([^:]+):(.+)->(.+)\Z", rest)
             if not m:
@@ -414,7 +419,6 @@ def parse_signature(text: str) -> Signature:
             morphisms.append((lineno, m.group(1).strip(), m.group(2), m.group(3)))
         else:
             raise ParseError(f"unknown declaration {head!r}", lineno)
-    obj_names = _check_objects(tuple(objects))
     declared: list[MorphismVar] = []
     mor_seen: set[str] = set()
     for lineno, name, dom_text, cod_text in morphisms:

@@ -141,23 +141,6 @@ def test_check_loop_count_witness(tmp_path, capsys):
     assert record["value_b"] == "1+0i"
 
 
-def test_seed_env_var_overrides_the_flag(pare_files, capsys, monkeypatch):
-    sig, a, b = pare_files
-    monkeypatch.setenv("DAGGEREQ_SEED", "5")
-    assert main(["check", "--format", "json", "--sig", sig, a, b,
-                 "--seed", "7", "--dims", "X=3"]) == 1
-    record = json.loads(capsys.readouterr().out)
-    trial = record["witness"]["trial"]
-    assert record["witness"]["seed"] == 5 * 1_000_003 + trial
-
-
-def test_bad_seed_env_var(pare_files, capsys, monkeypatch):
-    sig, a, b = pare_files
-    monkeypatch.setenv("DAGGEREQ_SEED", "pi")
-    assert main(["check", "--sig", sig, a, b]) == 2
-    assert "DAGGEREQ_SEED" in capsys.readouterr().err
-
-
 def test_iso_count_command(worked_files, capsys):
     sig, a, b = worked_files
     assert main(["iso-count", "--sig", sig, a, b]) == 0
@@ -257,7 +240,8 @@ def test_the_first_use_line_in_argument_order_wins(tmp_path, capsys):
     write(tmp_path, "sig.txt", WORKED_SIG)
     a = write(tmp_path, "n.term", "use sig.txt\n" + WORKED_N + "\n")
     b = write(tmp_path, "m.term", "use missing.txt\n" + WORKED_M + "\n")
-    assert main(["check", a, b]) == 0
+    assert main(["check", a, b]) == 2
+    assert "missing.txt" in capsys.readouterr().err
     assert main(["check", b, a]) == 2
     assert "missing.txt" in capsys.readouterr().err
 
@@ -294,6 +278,9 @@ def test_bad_dims_are_an_error(pare_files, capsys):
     (["--ring", "float", "--tolerance", "-1"], "tolerance must be nonnegative"),
     (["--ring", "float", "--tolerance", "nan"], "tolerance must be nonnegative and finite"),
     (["--ring", "float", "--tolerance", "inf"], "tolerance must be nonnegative and finite"),
+    (["--tolerance", "-1"], "tolerance must be nonnegative"),
+    (["--tolerance", "nan"], "tolerance must be nonnegative and finite"),
+    (["--tolerance", "inf"], "tolerance must be nonnegative and finite"),
 ])
 def test_bad_witness_flags_are_an_error_on_equal_terms(worked_files, capsys,
                                                        flags, message):
@@ -365,6 +352,13 @@ def test_signature_parse_errors_name_the_signature_file(tmp_path, capsys, via_us
     argv = ["check", a, a] if via_use else ["check", "--sig", sig, a, a]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {sig}:2: unknown object 'Q'\n"
+
+
+def test_object_line_errors_name_the_signature_file_and_line(tmp_path, capsys):
+    sig = write(tmp_path, "s.sig", "object A\nobject A\n")
+    a = write(tmp_path, "a.term", "id[I]\n")
+    assert main(["check", "--sig", sig, a, a]) == 2
+    assert capsys.readouterr().err == f"error: {sig}:2: duplicate object 'A'\n"
 
 
 @pytest.mark.parametrize("undecodable", ["term", "signature"])

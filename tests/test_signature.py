@@ -107,6 +107,13 @@ def test_duplicate_morphism_error_names_its_line():
         parse_signature(text)
 
 
+def test_object_errors_name_their_line():
+    with pytest.raises(ParseError, match=r"\A2: duplicate object 'A'\Z"):
+        parse_signature("object A\nobject A\nmorphism f : A -> A\n")
+    with pytest.raises(ParseError, match=r"\A1: object name 'tr' is reserved\Z"):
+        parse_signature("object tr\n")
+
+
 def test_parsing_validates_each_morphism_once(monkeypatch):
     calls = []
     check = signature._check_morphism
