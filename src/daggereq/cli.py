@@ -29,7 +29,6 @@ from .scalars import DEFAULT_TOLERANCE, make_ring
 from .signature import Signature, parse_signature
 
 DEFAULT_SEED = 0
-DEFAULT_DIM = 3
 
 
 class _Report:
@@ -100,10 +99,10 @@ def _load_terms(args, names: list[str]) -> tuple[Signature, list[tm.Term]]:
     return sig, terms
 
 
-def _parse_dims(text: str | None, sig: Signature) -> dict:
-    dims = {}
+def _parse_dims(text: str | None, sig: Signature) -> dict | None:
     if not text:
-        return dims
+        return None
+    dims = {}
     for part in text.split(","):
         name, eq, value = part.partition("=")
         try:
@@ -179,9 +178,7 @@ def cmd_check(args) -> int:
         report.emit()
         return 0
 
-    full = ({a: dims.get(a, DEFAULT_DIM) for a in result.signature.objects}
-            if dims else None)
-    witness = sm.find_witness(result.diagram_a, result.diagram_b, full, ring,
+    witness = sm.find_witness(result.diagram_a, result.diagram_b, dims, ring,
                               trials=args.trials, seed=args.seed,
                               on_miss=report.note)
     if witness:
@@ -272,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", choices=["gauss", "float"], default="gauss",
                    help="scalar ring for the witness search")
     p.add_argument("--dims", help="object dimensions, e.g. A=3,B=2; "
-                   "unlisted objects get 3")
+                   f"unlisted objects get {sm.DEFAULT_DIM}")
     p.add_argument("--trials", type=int,
                    help="random trials per dimension; by default 2 on the "
                    "gauss ring, whose sample range is sized so that two "

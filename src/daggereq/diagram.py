@@ -34,7 +34,6 @@ from typing import Iterable
 from .errors import DiagramError, ParseError, TypeCheckError
 from . import terms as tm
 from .signature import (
-    TRACED_MONOIDAL,
     MorphismVar,
     ObjectVar,
     Signature,
@@ -537,11 +536,9 @@ def iso_count(n: Diagram, m: Diagram) -> int:
 class EqualityResult:
     """Outcome of :func:`decide_equal`.
 
-    ``isomorphism`` is one isomorphism from ``diagram_a`` to
-    ``diagram_b``, or None when there is none; where there are several
-    it is a valid one, not necessarily the first in :func:`find_isos`
-    order.  ``signature`` is a traced monoidal signature with the
-    objects the two diagrams' wires are labeled with, and no morphisms.
+    ``isomorphism`` is one isomorphism from ``diagram_a`` to ``diagram_b``,
+    or None when there is none; where there are several it is a valid
+    one, not necessarily the first in :func:`find_isos` order.
     """
 
     equal: bool
@@ -549,7 +546,6 @@ class EqualityResult:
     diagram_b: Diagram
     isomorphism_count: int
     isomorphism: DiagramIso | None
-    signature: Signature
 
 
 def decide_equal(t1: tm.Term, t2: tm.Term, sig: Signature) -> EqualityResult:
@@ -562,14 +558,13 @@ def decide_equal(t1: tm.Term, t2: tm.Term, sig: Signature) -> EqualityResult:
     isomorphisms are listed: the count comes from the code classes.
     """
     _, (d1, d2) = compile_closed([t1, t2], sig)
-    sig_t = Signature(TRACED_MONOIDAL, sig.objects)
     matching = _match(d1, d2)
     if matching is None:
-        return EqualityResult(False, d1, d2, 0, None, sig_t)
+        return EqualityResult(False, d1, d2, 0, None)
     iso = _iso(d1, d2, ((ref_n, ref_m)
                         for comps_n, comps_m in matching
                         for (ref_n, _), (ref_m, _) in zip(comps_n, comps_m)))
-    return EqualityResult(True, d1, d2, _count(matching), iso, sig_t)
+    return EqualityResult(True, d1, d2, _count(matching), iso)
 
 
 # -- text formats ------------------------------------------------------

@@ -32,9 +32,6 @@ class GaussianInt:
     def __add__(self, other: GaussianInt) -> GaussianInt:
         return GaussianInt(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: GaussianInt) -> GaussianInt:
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
     def __neg__(self) -> GaussianInt:
         return GaussianInt(-self.re, -self.im)
 
@@ -46,9 +43,6 @@ class GaussianInt:
 
     def conjugate(self) -> GaussianInt:
         return GaussianInt(self.re, -self.im)
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
 
     def __str__(self) -> str:
         try:
@@ -369,9 +363,6 @@ class MultilinearRing(ScalarRing):
                     m = m1 | m2
                     out[m] = out.get(m, 0) + c1 * c2
         return out
-
-    def from_int(self, n: int) -> dict[int, int]:
-        return {0: n}
 
     def variable(self, box: int, conjugated: bool) -> dict[int, int]:
         return {} if conjugated else {1 << box: 1}

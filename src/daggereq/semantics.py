@@ -506,6 +506,8 @@ def iso_count_semantic(n: Diagram, m: Diagram) -> int:
 # Dimensions tried in turn, every object at once, when the search is
 # given none; the completeness construction follows them.
 ESCALATION = (2, 3)
+# The dimension of an object that a given ``dims`` mapping leaves out.
+DEFAULT_DIM = 3
 # Trials per dimension over floats, where the Schwartz-Zippel bound
 # does not hold.
 DEFAULT_TRIALS = 100
@@ -684,13 +686,14 @@ def find_witness(n: Diagram, m: Diagram,
     values.
 
     With ``dims`` given, every trial draws random matrices at those
-    dimensions.  With ``dims`` None, the trials put every object at
-    each dimension of :data:`ESCALATION` in turn, and when all of them
-    miss, the search ends with the completeness construction (see
-    :func:`_construction`), which separates any two unequal diagrams
-    with high probability but at dimensions as large as the wire
-    counts of ``m``.  It comes last because the smallest separating
-    dimensions make the clearest witness.
+    dimensions for the objects the two diagrams use, and at
+    :data:`DEFAULT_DIM` for any such object a mapping leaves out.  With
+    ``dims`` None, the trials put every object at each dimension of
+    :data:`ESCALATION` in turn, and when all of them miss, the search ends
+    with the completeness construction (see :func:`_construction`), which
+    separates any two unequal diagrams with high probability but at
+    dimensions as large as the wire counts of ``m``.  It comes last because
+    the smallest separating dimensions make the clearest witness.
 
     On an exact ring, the sample range is sized by the Schwartz-Zippel
     bound.  Each value is a polynomial of degree at most
@@ -725,9 +728,11 @@ def find_witness(n: Diagram, m: Diagram,
     if dims is None:
         stages = [(k, f"at dimensions [{k}]") for k in ESCALATION]
         stages.append((None, "from the completeness construction"))
+    elif isinstance(dims, int):
+        stages = [(dims, f"at dimensions [{dims}]")]
     else:
-        shown = [dims] if isinstance(dims, int) else sorted(set(dims.values()))
-        stages = [(dims, f"at dimensions {shown}")]
+        dims = {a: dims.get(a, DEFAULT_DIM) for a in sig.objects}
+        stages = [(dims, f"at dimensions {sorted(set(dims.values()))}")]
     plans = None
     for stage_dims, where in stages:
         if dims is None and stage_dims is not None:

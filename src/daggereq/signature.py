@@ -405,8 +405,6 @@ def parse_signature(text: str) -> Signature:
                 raise ParseError(f"unknown kind {rest!r}", lineno)
             kind = rest
         elif head == "object":
-            if not _NAME_RE.match(rest):
-                raise ParseError(f"bad object name {rest!r}", lineno)
             objects.append(ObjectVar(rest))
             try:
                 _check_object(objects[-1], obj_names)

@@ -423,22 +423,13 @@ def use_path(text: str) -> str | None:
     return _split_use(text)[0]
 
 
-def parse_term_file(text: str, sig: Signature | None = None,
-                    load_signature=None) -> tuple[Term, Signature]:
+def parse_term_file(text: str, sig: Signature) -> tuple[Term, Signature]:
     """Parse a term file: optional ``use PATH`` line, then one term.
 
     The term may span several lines and carry ``#`` comments; error
-    positions are lines and columns of the file.  When ``sig`` is given
-    it wins over any ``use`` line; otherwise the ``use`` path is
-    resolved through the ``load_signature`` callback.  The CLI always
-    passes ``sig``: it resolves the ``use`` lines of all its term files
-    first and requires those that load to agree.
+    positions are lines and columns of the file.  The ``use`` line is
+    skipped: the caller resolves it (see :func:`use_path`) and passes
+    the signature, as the CLI does once all its term files' ``use``
+    lines load and agree.
     """
-    path, body = _split_use(text)
-    if sig is None:
-        if path is None:
-            raise ParseError("no signature: term file has no 'use' line")
-        if load_signature is None:
-            raise ParseError(f"cannot resolve 'use {path}' without a loader")
-        sig = load_signature(path)
-    return parse_term(body, sig), sig
+    return parse_term(_split_use(text)[1], sig), sig

@@ -121,6 +121,19 @@ def test_check_explicit_dims_can_miss(pare_files, capsys):
     assert "witness found" not in out
 
 
+@pytest.mark.parametrize("dims, searched", [("B=2", 3), ("A=2", 2)])
+def test_a_dims_miss_lists_only_the_dimensions_searched(tmp_path, capsys,
+                                                        dims, searched):
+    sig = write(tmp_path, "s.sig", "object A\nobject B\n"
+                "morphism a : A -> A\nmorphism b : A -> A\n")
+    a = write(tmp_path, "a.term", "tr[A](a ; b)\n")
+    b = write(tmp_path, "b.term", "tr[A](b ; b)\n")
+    assert main(["check", "--sig", sig, a, b, "--dims", dims,
+                 "--trials", "0"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith(f"no witness at dimensions [{searched}] after 0 trials\n")
+
+
 def test_check_float_ring(pare_files, capsys):
     sig, a, b = pare_files
     assert main(["check", "--sig", sig, a, b, "--ring", "float",
@@ -147,6 +160,18 @@ def test_iso_count_command(worked_files, capsys):
     out = capsys.readouterr().out
     assert "isomorphisms: 1" in out
     assert "semantic isomorphism count: 1" in out
+
+
+@pytest.mark.parametrize("command", ["check", "iso-count"])
+def test_disagreeing_isomorphism_counts_are_an_error(worked_files, capsys,
+                                                     monkeypatch, command):
+    count = semantics.iso_count_semantic
+    monkeypatch.setattr(semantics, "iso_count_semantic",
+                        lambda n, m: count(n, m) + 1)
+    sig, a, b = worked_files
+    assert main([command, "--sig", sig, a, b]) == 2
+    out = capsys.readouterr().out
+    assert "cross-check failed: the two isomorphism counts disagree" in out
 
 
 def test_iso_count_zero_exits_one(pare_files, capsys):
@@ -236,7 +261,7 @@ def test_a_use_line_in_the_second_file_serves_both(tmp_path, capsys):
     assert "verdict: equal" in capsys.readouterr().out
 
 
-def test_the_first_use_line_in_argument_order_wins(tmp_path, capsys):
+def test_a_use_line_that_cannot_load_is_an_error_in_either_file(tmp_path, capsys):
     write(tmp_path, "sig.txt", WORKED_SIG)
     a = write(tmp_path, "n.term", "use sig.txt\n" + WORKED_N + "\n")
     b = write(tmp_path, "m.term", "use missing.txt\n" + WORKED_M + "\n")
@@ -281,6 +306,7 @@ def test_bad_dims_are_an_error(pare_files, capsys):
     (["--tolerance", "-1"], "tolerance must be nonnegative"),
     (["--tolerance", "nan"], "tolerance must be nonnegative and finite"),
     (["--tolerance", "inf"], "tolerance must be nonnegative and finite"),
+    (["--dims", "A=-1"], "dimensions must be nonnegative"),
 ])
 def test_bad_witness_flags_are_an_error_on_equal_terms(worked_files, capsys,
                                                        flags, message):

@@ -112,6 +112,8 @@ def test_object_errors_name_their_line():
         parse_signature("object A\nobject A\nmorphism f : A -> A\n")
     with pytest.raises(ParseError, match=r"\A1: object name 'tr' is reserved\Z"):
         parse_signature("object tr\n")
+    with pytest.raises(ParseError, match=r"\A1: invalid object name 'A B'\Z"):
+        parse_signature("object A B\n")
 
 
 def test_parsing_validates_each_morphism_once(monkeypatch):
